@@ -34,7 +34,6 @@ from repro.core.orientation._kernels import (
     stable_orientation_kernel,
 )
 from repro.core.token_dropping._kernels import proposal_game_kernel
-from repro.parallel import parallel_stable_orientation_kernel, resolve_workers
 from repro.workloads.scenarios import (
     SCALE_TIER_PARAMS,
     scale_layered_orientation,
@@ -122,62 +121,6 @@ def test_scale_orientation(benchmark, record_rows, tier):
         phases=phases,
         communication_rounds=comm_rounds,
         max_load=max(load),
-        rss_peak_mb_process=_rss_peak_mb(),
-    )
-
-
-@pytest.mark.benchmark(**BENCH_OPTS)
-@pytest.mark.parametrize("tier", TIERS)
-def test_scale_orientation_parallel(benchmark, record_rows, tier):
-    """The compact-parallel backend at scale, all available workers.
-
-    The serial medians live in ``test_scale_orientation``; this scenario
-    is the parallel side of that comparison.  Worker count defaults to
-    ``os.cpu_count()`` (override with ``REPRO_WORKERS``) and is recorded
-    alongside the machine's core count — a committed row from a 1-core
-    box honestly shows the pool overhead instead of a speedup.
-    """
-    graph = _graph(tier)
-    workers = resolve_workers()
-    heads, load, phases, game_rounds, comm_rounds, _ = benchmark(
-        lambda: parallel_stable_orientation_kernel(graph, seed=0, workers=workers)
-    )
-    assert all(h >= 0 for h in heads)
-    record_rows(
-        tier=tier,
-        num_nodes=graph.num_nodes,
-        num_edges=graph.num_edges,
-        phases=phases,
-        communication_rounds=comm_rounds,
-        max_load=max(load),
-        workers=workers,
-        cpu_count=os.cpu_count(),
-        rss_peak_mb_process=_rss_peak_mb(),
-    )
-
-
-@pytest.mark.benchmark(**BENCH_OPTS)
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_scale_orientation_workers(benchmark, record_rows, workers):
-    """Workers sweep at the 100k tier: 1 (serial fallback), 2, and 4.
-
-    The ``workers=1`` row goes through the parallel entry point but falls
-    back to the serial kernel — the sweep's baseline — so the committed
-    rows show the scaling curve and the pool overhead on one chart.
-    """
-    graph = _graph("100k")
-    heads, load, phases, _, comm_rounds, _ = benchmark(
-        lambda: parallel_stable_orientation_kernel(graph, seed=0, workers=workers)
-    )
-    assert all(h >= 0 for h in heads)
-    record_rows(
-        tier="100k",
-        num_nodes=graph.num_nodes,
-        num_edges=graph.num_edges,
-        phases=phases,
-        communication_rounds=comm_rounds,
-        workers=workers,
-        cpu_count=os.cpu_count(),
         rss_peak_mb_process=_rss_peak_mb(),
     )
 

@@ -42,13 +42,6 @@ per-request overhead fails regardless of runner speed.  Its agreement
 check asserts a served session equals a local engine applying the
 identical chunks.
 
-The ``scale_parallel`` gate compares the shared-memory parallel
-orientation backend against the serial kernel *on the same machine* and
-requires a ≥1.5x ratio at 4 workers.  Parallel speedup is meaningless
-without cores, so gates may declare ``min_cpus``: below that count the
-correctness (agreement) check still runs but the timing comparison is
-skipped with a printed note instead of producing a bogus failure.
-
 Usage (CI runs exactly this):
 
     PYTHONPATH=src python scripts/check_bench_regression.py --max-factor 3
@@ -60,7 +53,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import sys
 import time
@@ -94,17 +86,9 @@ class SuiteGate:
     #: beats per-update recompute by a wide margin, so it demands 10x
     #: where ordinary kernel gates accept the CLI default.
     min_ratio: Optional[float] = None
-    #: Which ``BENCH_<name>.json`` holds the committed row; defaults to
-    #: the registry key.  The ``scale_parallel`` gate reads the scale
-    #: suite's file — its scenarios live in ``bench_scale.py``.
-    bench_suite: Optional[str] = None
     #: What the ratio's denominator path is called in output ("dict" for
-    #: the reference-path gates, "serial" for the parallel gate).
+    #: the reference-path gates, "naive" for the serve gate).
     reference_label: str = "dict"
-    #: Minimum ``os.cpu_count()`` for the timing comparison to be
-    #: meaningful.  Below it the agreement check still runs; timing,
-    #: ratio, and memory checks are skipped with a note.
-    min_cpus: int = 0
     #: Re-measure one run under tracemalloc and gate it against the
     #: committed ``extra_info.peak_mb`` (times ``--max-mem-factor``,
     #: floored at ``--min-mem-budget``).
@@ -299,50 +283,6 @@ def _scale_gate() -> SuiteGate:
     )
 
 
-def _scale_parallel_gate() -> SuiteGate:
-    from repro.core.orientation._kernels import stable_orientation_kernel
-    from repro.parallel import parallel_stable_orientation_kernel
-    from repro.workloads import SCALE_TIER_PARAMS, scale_layered_orientation
-
-    # The committed scenario is the workers=4 row of the bench_scale.py
-    # sweep; the same-machine reference is the serial kernel, so the
-    # ratio floor (1.5x, overriding the CLI default) fails when the
-    # worker pool stops pulling its weight — provided the runner has the
-    # cores to make the comparison meaningful (min_cpus below).  The
-    # agreement check runs regardless of core count: bit-for-bit equality
-    # against the serial kernel is the backend's contract everywhere.
-    def prepare() -> dict:
-        graph = scale_layered_orientation(**SCALE_TIER_PARAMS["100k"])
-        stable_orientation_kernel(graph, seed=0)  # warm derived caches
-        return {"graph": graph}
-
-    def check_agreement(ctx: dict) -> Optional[str]:
-        serial = stable_orientation_kernel(ctx["graph"], seed=0)
-        par = parallel_stable_orientation_kernel(
-            ctx["graph"], seed=0, workers=2, min_edges=0
-        )
-        if serial != par:
-            return (
-                "parallel and serial stable-orientation kernels disagree "
-                "on the 100k scale instance"
-            )
-        return None
-
-    return SuiteGate(
-        scenario="test_scale_orientation_workers[4]",
-        prepare=prepare,
-        run=lambda ctx: parallel_stable_orientation_kernel(
-            ctx["graph"], seed=0, workers=4
-        ),
-        reference=lambda ctx: stable_orientation_kernel(ctx["graph"], seed=0),
-        check_agreement=check_agreement,
-        min_ratio=1.5,
-        bench_suite="scale",
-        reference_label="serial",
-        min_cpus=4,
-    )
-
-
 def _serve_gate() -> SuiteGate:
     from repro.core.orientation import DynamicOrientation
     from repro.serve import ServeConfig, ServerThread, connect
@@ -480,7 +420,6 @@ GATES: Dict[str, Callable[[], SuiteGate]] = {
     "churn": _churn_gate,
     "scale": _scale_gate,
     "serve": _serve_gate,
-    "scale_parallel": _scale_parallel_gate,
     "assignment": _assignment_gate,
     "semi_matching": _semi_matching_gate,
     "lower_bounds": _lower_bounds_gate,
@@ -575,8 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def check_suite(suite: str, gate: SuiteGate, args: argparse.Namespace) -> int:
     """Run one suite's gate; returns 0 (ok), 1 (failed), or 2 (unusable)."""
-    bench_name = gate.bench_suite or suite
-    bench_file = args.bench_dir / f"BENCH_{bench_name}.json"
+    bench_file = args.bench_dir / f"BENCH_{suite}.json"
     try:
         payload = json.loads(bench_file.read_text())
         row = payload["scenarios"][gate.scenario]
@@ -586,29 +524,19 @@ def check_suite(suite: str, gate: SuiteGate, args: argparse.Namespace) -> int:
         print(
             f"ERROR: no committed median for {gate.scenario!r} in "
             f"{bench_file}; regenerate it with: pytest "
-            f"benchmarks/bench_{bench_name}.py --benchmark-only",
+            f"benchmarks/bench_{suite}.py --benchmark-only",
             file=sys.stderr,
         )
         return 2
 
     ctx = gate.prepare()
 
-    # Agreement first: a fast-but-wrong kernel must fail before any timing
-    # (and regardless of core count — correctness needs no parallelism).
+    # Agreement first: a fast-but-wrong kernel must fail before any timing.
     if gate.check_agreement is not None:
         error = gate.check_agreement(ctx)
         if error is not None:
             print(f"ERROR: [{suite}] {error}", file=sys.stderr)
             return 1
-
-    cpus = os.cpu_count() or 1
-    if gate.min_cpus and cpus < gate.min_cpus:
-        print(
-            f"[{suite}] {gate.scenario}: SKIPPED timing — {cpus} CPU(s) "
-            f"available, gate needs {gate.min_cpus} for a meaningful "
-            "comparison (agreement check passed)"
-        )
-        return 0
 
     rounds = timing_rounds(committed, args.rounds, args.min_budget)
     median = timed_median(lambda: gate.run(ctx), rounds)

@@ -203,10 +203,9 @@ def solve(
         Theorem 5.1), or ``"bounded"`` (the k-bounded relaxation; note
         its output is only k-relaxed stable).
     backend:
-        The usual dispatch names (``auto``/``compact``/``dict``, plus
-        ``compact-parallel`` for ``phases``); on the compact repair path
-        the kernel's arrays are returned directly — no dict structure is
-        ever built.
+        The usual dispatch names (``auto``/``compact``/``dict``); on the
+        compact repair path the kernel's arrays are returned directly — no
+        dict structure is ever built.
     tie_break, k, check_invariants:
         Passed through to the underlying algorithm where applicable.
     """
@@ -237,7 +236,7 @@ def solve(
     elif algorithm == "phases":
         from repro.core.orientation.phases import run_stable_orientation
 
-        resolved = resolve_backend(backend, supports_parallel=True)
+        resolved = resolve_backend(backend)
         result = run_stable_orientation(
             graph,
             tie_break=tie_break,

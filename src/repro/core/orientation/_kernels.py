@@ -197,7 +197,7 @@ def _solve_phase_game_serial(
     seed: int,
     check_invariants: bool,
 ) -> Tuple[List[int], int]:
-    """Build and solve one phase's token dropping game in-process.
+    """Build and solve one phase's token dropping game.
 
     ``game_edge_list`` is the phase's badness-1 edge set in ascending
     order (the reference scan order); ``sub`` is a caller-owned dense-id
@@ -205,12 +205,6 @@ def _solve_phase_game_serial(
     returning.  Returns ``(consumed_edges, communication_rounds)`` where
     ``consumed_edges`` is the ascending list of graph edges consumed by a
     token pass — exactly the edges step 4 must flip.
-
-    This is the unit the ``compact-parallel`` backend distributes: the
-    game decomposes into connected components that never exchange
-    messages, so :mod:`repro.parallel` runs one of these per component
-    (inside worker processes over shared-memory arrays) and merges the
-    results; see :func:`repro.parallel.parallel_stable_orientation_kernel`.
     """
     from repro.core.token_dropping._kernels import (
         _node_rngs,
@@ -294,7 +288,6 @@ def stable_orientation_kernel(
     seed: int = 0,
     check_invariants: bool = True,
     max_phases: Optional[int] = None,
-    phase_game_solver=None,
 ) -> Tuple[List[int], List[int], int, int, int, List]:
     """Run the phase-based stable orientation algorithm on int arrays.
 
@@ -410,34 +403,25 @@ def stable_orientation_kernel(
             # incident to a game edge: every other node (tokenless, or a
             # token holder with no game neighbours) halts at round 0 with
             # no LEAVE fan-out in the reference execution, so dropping it
-            # changes neither the surviving run nor its rounds.  The game
-            # runs in-process by default; a ``phase_game_solver`` (the
-            # compact-parallel backend) may instead split it into
-            # connected components and solve them in worker processes —
-            # both return the same ascending consumed-edge list.
+            # changes neither the surviving run nor its rounds.
             game_edge_list = sorted(cand)
             # Phase-start max load, from the histogram (O(1) instead of an
             # O(n) ``max(load)`` pass; loads are bounded by Δ).
             height = cur_max
-            if phase_game_solver is None:
-                consumed_edges, td_comm_rounds = _solve_phase_game_serial(
-                    eu,
-                    ev,
-                    ids,
-                    sub,
-                    load,
-                    heads,
-                    game_edge_list,
-                    accepted_edge,
-                    height,
-                    tie_break,
-                    seed,
-                    check_invariants,
-                )
-            else:
-                consumed_edges, td_comm_rounds = phase_game_solver(
-                    game_edge_list, accepted_edge, heads, load, height
-                )
+            consumed_edges, td_comm_rounds = _solve_phase_game_serial(
+                eu,
+                ev,
+                ids,
+                sub,
+                load,
+                heads,
+                game_edge_list,
+                accepted_edge,
+                height,
+                tie_break,
+                seed,
+                check_invariants,
+            )
 
             # Step 4: flip every edge consumed by a pass (each game edge maps
             # back to its oriented edge through the payload table; flipping is

@@ -158,15 +158,13 @@ def run_stable_orientation(
     -------
     StableOrientationResult
     """
-    resolved = resolve_backend(backend, supports_parallel=True)
-    if resolved in ("compact", "compact-parallel"):
+    if resolve_backend(backend) == "compact":
         return _run_stable_orientation_compact(
             problem,
             tie_break=tie_break,
             seed=seed,
             check_invariants=check_invariants,
             max_phases=max_phases,
-            parallel=resolved == "compact-parallel",
         )
     if isinstance(problem, CompactGraph):
         problem = problem.to_orientation_problem()
@@ -274,21 +272,11 @@ def _run_stable_orientation_compact(
     seed: int,
     check_invariants: bool,
     max_phases: Optional[int],
-    parallel: bool = False,
 ) -> StableOrientationResult:
-    """Fast path: intern once, run the phase kernel, wrap the result.
-
-    With ``parallel=True`` (the ``compact-parallel`` backend) the phase
-    games run on the :mod:`repro.parallel` shared-memory worker pool —
-    same results bit for bit, with its own below-threshold fallback to
-    the serial kernel.
-    """
-    if parallel:
-        from repro.parallel import parallel_stable_orientation_kernel as kernel
-    else:
-        from repro.core.orientation._kernels import (
-            stable_orientation_kernel as kernel,
-        )
+    """Fast path: intern once, run the phase kernel, wrap the result."""
+    from repro.core.orientation._kernels import (
+        stable_orientation_kernel as kernel,
+    )
 
     if isinstance(problem, CompactGraph):
         compact = problem

@@ -12,14 +12,6 @@ solvers, and the full stable-orientation pipeline —
   representations of :mod:`repro.graphs.compact` that reproduces the
   reference results exactly (asserted by the cross-validation suite).
 
-A third name, ``compact-parallel``, selects the compact kernel with its
-per-phase games distributed across a shared-memory worker pool
-(:mod:`repro.parallel`) — bit-for-bit identical output again, just more
-cores.  Only entry points that declare ``supports_parallel`` actually
-fan out (currently ``run_stable_orientation``); everywhere else the name
-quietly degrades to ``compact``, so ``REPRO_BACKEND=compact-parallel``
-can be set process-wide without breaking the rest of the pipeline.
-
 The dispatch rule
 -----------------
 1. An explicit ``backend=`` keyword on the call wins.
@@ -39,7 +31,7 @@ import os
 from typing import Optional
 
 #: Recognised backend names, in documentation order.
-BACKENDS = ("auto", "compact", "compact-parallel", "dict")
+BACKENDS = ("auto", "compact", "dict")
 
 #: Environment variable consulted when no per-call backend is given.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
@@ -53,28 +45,20 @@ def resolve_backend(
     backend: Optional[str] = None,
     *,
     auto: str = "compact",
-    supports_parallel: bool = False,
 ) -> str:
     """Resolve a per-call backend choice to a concrete backend name.
 
     Parameters
     ----------
     backend:
-        Per-call override (``"auto"``, ``"compact"``,
-        ``"compact-parallel"``, ``"dict"`` or None to defer to the
-        environment).
+        Per-call override (``"auto"``, ``"compact"``, ``"dict"`` or None
+        to defer to the environment).
     auto:
         What ``auto`` resolves to.  Iterative entry points amortize the
         one-time interning cost and default to ``"compact"``; single-pass
         ones (e.g. greedy assignment) pass ``"dict"`` unless the input is
         already compact, because re-representing would cost more than the
         pass saves.
-    supports_parallel:
-        Whether the calling entry point has a ``compact-parallel``
-        execution path.  When it does not, ``compact-parallel`` resolves
-        to ``compact`` — same results either way, so a process-wide
-        ``REPRO_BACKEND=compact-parallel`` never breaks an entry point
-        that simply has nothing to parallelize.
     """
     if backend is not None:
         choice = backend
@@ -96,7 +80,5 @@ def resolve_backend(
             f"expected one of {BACKENDS}"
         )
     if choice == "auto":
-        choice = auto
-    if choice == "compact-parallel" and not supports_parallel:
-        return "compact"
+        return auto
     return choice

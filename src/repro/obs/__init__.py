@@ -81,7 +81,6 @@ __all__ = [
     "Sink",
     "TRACE_ENV_VAR",
     "add",
-    "after_fork_in_child",
     "capture",
     "configure",
     "configure_from_env",
@@ -154,28 +153,6 @@ def configure_from_env(environ=os.environ) -> Optional[Sink]:
     if path:
         return configure(JsonlSink(path))
     return _sink
-
-
-def after_fork_in_child() -> None:
-    """Reset inherited per-process obs state in a freshly forked worker.
-
-    Worker initializers (the :mod:`repro.parallel` pool) call this before
-    any instrumented code runs:
-
-    * the span stack copied from the parent is dropped — those spans
-      close in the parent's process, and linking worker spans under them
-      would mis-attribute self-time across processes;
-    * span ids restart (events are disambiguated by ``pid`` anyway);
-    * a sink with a ``reopen_after_fork`` method (:class:`JsonlSink`)
-      rebinds to this pid *before* the first span, so the worker never
-      emits — or closes — through the parent's inherited file handle.
-    """
-    global _ids
-    _stack.clear()
-    _ids = itertools.count(1)
-    reopen = getattr(_sink, "reopen_after_fork", None)
-    if reopen is not None:
-        reopen()
 
 
 @contextmanager

@@ -107,22 +107,6 @@ class JsonlSink(Sink):
         self._file.write("\n")
         self._file.flush()
 
-    def reopen_after_fork(self) -> None:
-        """Rebind an inherited sink to this process, before the first span.
-
-        A forked worker inherits the parent's open file *object*.  The
-        lazy pid guard in :meth:`emit` would close it on first use — from
-        the wrong process, mid-whatever the parent was doing — so worker
-        initializers (:func:`repro.obs.after_fork_in_child`) call this
-        first: the inherited handle is dropped without closing (it is the
-        parent's to close) and a fresh per-pid append handle is opened
-        eagerly, so even the worker's first span emits through its own
-        descriptor.  O_APPEND plus one flushed ``write`` per event keeps
-        concurrent lines from interleaving.
-        """
-        self._file = open(self.path, "a", encoding="utf-8")
-        self._pid = os.getpid()
-
     def close(self) -> None:
         if self._file is not None:
             self._file.close()

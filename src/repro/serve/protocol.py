@@ -124,10 +124,25 @@ def node_to_wire(node):
 
 
 def wire_to_node(value):
-    """Decode a JSON value back into a node id (arrays become tuples)."""
+    """Decode a JSON value back into a node id (arrays become tuples).
+
+    A JSON object has no hashable node-id form, so it raises
+    :class:`ProtocolError` rather than failing later as a ``TypeError``.
+    """
     if isinstance(value, list):
         return tuple(wire_to_node(part) for part in value)
+    if isinstance(value, dict):
+        raise ProtocolError(f"node id {value!r} is a JSON object")
     return value
+
+
+def _edge_from_wire(value):
+    """Decode an edge delta's endpoints, rejecting self-loops."""
+    u = wire_to_node(value["u"])
+    v = wire_to_node(value["v"])
+    if u == v:
+        raise ProtocolError(f"self-loop on {u!r} is not an edge: {value!r}")
+    return u, v
 
 
 # ----------------------------------------------------------------------
@@ -165,9 +180,9 @@ def delta_from_wire(value) -> Delta:
     kind = value.get("kind")
     try:
         if kind == "edge-insert":
-            return EdgeInsert(wire_to_node(value["u"]), wire_to_node(value["v"]))
+            return EdgeInsert(*_edge_from_wire(value))
         if kind == "edge-delete":
-            return EdgeDelete(wire_to_node(value["u"]), wire_to_node(value["v"]))
+            return EdgeDelete(*_edge_from_wire(value))
         if kind == "node-join":
             attach = value.get("attach", [])
             if not isinstance(attach, list):

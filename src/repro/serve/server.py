@@ -28,6 +28,7 @@ from __future__ import annotations
 import asyncio
 import os
 import threading
+import traceback
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -176,7 +177,7 @@ class OrientationServer:
                 "serve.coalesce", num_requests=len(batch), num_deltas=total
             ):
                 deltas = [d for request in batch for d in request.deltas]
-                error: Optional[Exception] = None
+                error: Optional[str] = None
                 with obs.span("serve.restabilize", num_deltas=total) as sp:
                     try:
                         stats = self.dynamic.apply_batch(deltas)
@@ -185,7 +186,12 @@ class OrientationServer:
                             repair_flips=stats.repair.total_flips,
                         )
                     except DeltaError as exc:
-                        error = exc
+                        error = str(exc)
+                    except Exception as exc:
+                        # An engine bug fails only this batch's requests;
+                        # the updater keeps draining the queue.
+                        traceback.print_exc()
+                        error = f"{type(exc).__name__}: {exc}"
             self.counters["batches"] += 1
             obs.add("serve.batches")
             if error is None:
@@ -203,14 +209,12 @@ class OrientationServer:
                             }
                         )
             else:
-                # The engine re-stabilized its applied prefix before the
-                # DeltaError propagated; every rider shares the failure.
+                # On a DeltaError the engine re-stabilized its applied
+                # prefix before raising; every rider shares the failure.
                 self.counters["errors"] += len(batch)
                 for request in batch:
                     if not request.future.done():
-                        request.future.set_result(
-                            {"ok": False, "error": str(error)}
-                        )
+                        request.future.set_result({"ok": False, "error": error})
             if stop_after:
                 break
 

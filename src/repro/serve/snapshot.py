@@ -33,7 +33,7 @@ from typing import Tuple
 from repro import obs
 from repro.core.orientation.incremental import DynamicOrientation
 from repro.graphs.compact import (
-    _SHM_FIELDS,
+    _CSR_FIELDS,
     ArraySnapshot,
     CompactGraph,
     SnapshotError,
@@ -117,7 +117,7 @@ def load_state(path, *, validate: bool = True) -> DynamicOrientation:
             node_ids = _decode_node_ids(meta["node_ids"])
             graph = CompactGraph.from_buffers(
                 node_ids,
-                {field: snapshot.section(field) for field in _SHM_FIELDS},
+                {field: snapshot.section(field) for field in _CSR_FIELDS},
             )
             dynamic = DynamicOrientation.from_solved_arrays(
                 graph,

@@ -4,9 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.orientation._kernels import stable_orientation_kernel
 from repro.core.orientation.problem import OrientationError, OrientationProblem
 from repro.graphs.bipartite import BipartiteGraphError, CustomerServerGraph
-from repro.graphs.compact import CompactBipartite, CompactGraph, intern_nodes
+from repro.graphs.compact import (
+    ArraySnapshot,
+    CompactBipartite,
+    CompactGraph,
+    SnapshotError,
+    intern_nodes,
+    write_array_snapshot,
+)
 from repro.graphs.generators import (
     bounded_degree_gnp,
     random_bipartite_customer_server,
@@ -88,6 +96,98 @@ class TestCompactGraph:
         compact = CompactGraph.from_orientation_problem(problem)
         compact._problem = None
         assert compact.to_orientation_problem() == problem
+
+
+CSR_FIELDS = ("indptr", "indices", "slot_edge", "edge_u", "edge_v")
+
+
+def _buffer_graph(kind: str) -> CompactGraph:
+    if kind == "gnp":
+        problem = OrientationProblem.from_networkx(
+            bounded_degree_gnp(30, 0.2, 6, seed=4)
+        )
+    elif kind == "mixed":
+        problem = OrientationProblem(
+            edges=[(1, "a"), ("a", (2, 3)), ((2, 3), 1.5), (1.5, "b")],
+            nodes=["iso"],
+        )
+    else:  # edgeless
+        problem = OrientationProblem(edges=[], nodes=["a", "b", 3])
+    return CompactGraph.from_orientation_problem(problem)
+
+
+def _views(graph: CompactGraph):
+    return {name: memoryview(buf) for name, buf in graph.snapshot_sections().items()}
+
+
+class TestFromBuffers:
+    """``from_buffers`` rebuilds a graph over CSR buffers it does not own."""
+
+    @pytest.mark.parametrize("kind", ["gnp", "mixed", "edgeless"])
+    def test_round_trip_preserves_every_buffer(self, kind):
+        graph = _buffer_graph(kind)
+        rebuilt = CompactGraph.from_buffers(graph.node_ids, _views(graph))
+        assert rebuilt.node_ids == graph.node_ids
+        assert rebuilt.index_of == graph.index_of
+        assert rebuilt.num_nodes == graph.num_nodes
+        assert rebuilt.num_edges == graph.num_edges
+        for name in CSR_FIELDS:
+            assert list(getattr(rebuilt, name)) == list(getattr(graph, name)), name
+        assert rebuilt.edge_keys() == graph.edge_keys()
+        assert rebuilt.to_orientation_problem() == graph.to_orientation_problem()
+
+    @pytest.mark.parametrize("tie_break", ["min", "max", "random"])
+    def test_rebuilt_graph_solves_identically(self, tie_break):
+        graph = _buffer_graph("gnp")
+        rebuilt = CompactGraph.from_buffers(graph.node_ids, _views(graph))
+        got = stable_orientation_kernel(rebuilt, tie_break=tie_break, seed=9)
+        assert got == stable_orientation_kernel(graph, tie_break=tie_break, seed=9)
+
+    def test_round_trip_through_a_snapshot_file(self, tmp_path):
+        graph = _buffer_graph("gnp")
+        path = tmp_path / "graph.snap"
+        write_array_snapshot(path, graph.snapshot_sections(), meta={"n": 30})
+        with ArraySnapshot(path) as snap:
+            assert snap.section_names() == CSR_FIELDS
+            sections = {name: snap.section(name) for name in CSR_FIELDS}
+            rebuilt = CompactGraph.from_buffers(graph.node_ids, sections)
+            # Zero copy: the graph reads the mapping's views directly.
+            assert all(
+                getattr(rebuilt, name) is sections[name] for name in CSR_FIELDS
+            )
+            expected = stable_orientation_kernel(graph, seed=1)
+            assert stable_orientation_kernel(rebuilt, seed=1) == expected
+
+    @pytest.mark.parametrize("missing", CSR_FIELDS)
+    def test_missing_section_raises(self, missing):
+        graph = _buffer_graph("gnp")
+        sections = _views(graph)
+        del sections[missing]
+        with pytest.raises(SnapshotError, match="missing CSR sections"):
+            CompactGraph.from_buffers(graph.node_ids, sections)
+
+    def test_indptr_must_match_the_node_count(self):
+        graph = _buffer_graph("gnp")
+        with pytest.raises(SnapshotError, match="indptr"):
+            CompactGraph.from_buffers(graph.node_ids[:-1], _views(graph))
+
+    @pytest.mark.parametrize("short", ["indices", "slot_edge", "edge_u", "edge_v"])
+    def test_inconsistent_edge_sections_raise(self, short):
+        graph = _buffer_graph("gnp")
+        sections = _views(graph)
+        sections[short] = sections[short][:-1]
+        with pytest.raises(SnapshotError, match="inconsistent"):
+            CompactGraph.from_buffers(graph.node_ids, sections)
+
+    def test_rebuilt_graph_starts_with_empty_memos(self):
+        graph = _buffer_graph("mixed")
+        graph.edge_keys()
+        graph.edge_index(1, "a")
+        rebuilt = CompactGraph.from_buffers(graph.node_ids, _views(graph))
+        assert rebuilt.derived == {}
+        assert rebuilt._edge_index is None
+        for e, (u, v) in enumerate(graph.edge_keys()):
+            assert rebuilt.edge_index(v, u) == e
 
 
 class TestCompactBipartite:

@@ -8,9 +8,11 @@ spanning every kernel and every policy:
 
 * sequential flip orientation: 4 instance families x 20 seeds, policies
   rotated per seed (80 instances);
-* phase-based stable orientation (Theorem 5.1): 4 families x 25 seeds,
-  tie-break policies rotated (100 instances, full-result equality:
-  orientations, loads, per-phase stats, game and communication rounds);
+* phase-based stable orientation (Theorem 5.1): 8 families x 25 seeds,
+  tie-break policies rotated (200 instances, full-result equality:
+  orientations, loads, per-phase stats, game and communication rounds),
+  including mixed-type node ids and single-component paths and stars,
+  plus 8 families x 4 seeds under every tie-break policy (96 runs);
 * synchronous repair baseline: 3 families x 25 seeds plus
   explicit-initial-orientation cases (77 instances, orientation and
   per-iteration statistics equality);
@@ -91,8 +93,37 @@ def _orientation_instance(family: str, seed: int) -> OrientationProblem:
         problem = layered_dag_orientation(
             num_levels=4, width=6, edge_probability=0.5, seed=seed
         )
-    else:  # sensor
+    elif family == "sensor":
         problem = sensor_network_orientation(num_nodes=30, max_degree=6, seed=seed)
+    elif family == "sparse":
+        # Plain G(40, 0.12): no degree cap, many small components.
+        rng = random.Random(seed)
+        edges = [
+            (u, v) for u in range(40) for v in range(u + 1, 40) if rng.random() < 0.12
+        ]
+        problem = OrientationProblem(edges, nodes=range(40))
+    elif family == "mixed":
+        # Ints, floats, strings and tuples as ids (repr-order ties).
+        rng = random.Random(seed)
+        nodes = ["alpha", 7, ("srv", 1), 3.5, "beta", 0, ("srv", 2), -2]
+        edges = [
+            (u, v)
+            for i, u in enumerate(nodes)
+            for v in nodes[i + 1 :]
+            if rng.random() < 0.5
+        ]
+        problem = OrientationProblem(edges, nodes=nodes)
+    elif family == "path":
+        # One component: a 200-node path through shuffled labels.
+        order = list(range(200))
+        random.Random(seed).shuffle(order)
+        problem = OrientationProblem(list(zip(order, order[1:])), nodes=order)
+    else:  # star
+        # One component with every edge on the hub; one string leaf.
+        hub = random.Random(seed).randrange(80)
+        problem = OrientationProblem(
+            [(hub, leaf) for leaf in [*range(80), "leaf"] if leaf != hub]
+        )
     return problem
 
 
@@ -130,10 +161,16 @@ def _assert_orientation_results_equal(ref, fast, context) -> None:
     assert ref.per_phase == fast.per_phase, context
 
 
-class TestStableOrientationAgrees:
-    """100 orientation instances; the tie-break policy rotates per seed."""
+STABLE_FAMILIES = [
+    "gnp", "regular", "layered", "sensor", "sparse", "mixed", "path", "star"
+]
 
-    @pytest.mark.parametrize("family", ["gnp", "regular", "layered", "sensor"])
+
+class TestStableOrientationAgrees:
+    """200 instances with the tie-break policy rotated per seed, plus 32
+    of them under all three policies."""
+
+    @pytest.mark.parametrize("family", STABLE_FAMILIES)
     @pytest.mark.parametrize(
         "seeds", [range(0, 10), range(10, 25)], ids=["s0-9", "s10-24"]
     )
@@ -141,6 +178,22 @@ class TestStableOrientationAgrees:
         for seed in seeds:
             problem = _orientation_instance(family, seed)
             tie_break = TIE_BREAK_POLICIES[seed % len(TIE_BREAK_POLICIES)]
+            ref = run_stable_orientation(
+                problem, tie_break=tie_break, seed=seed, backend="dict"
+            )
+            fast = run_stable_orientation(
+                problem, tie_break=tie_break, seed=seed, backend="compact"
+            )
+            context = (family, seed, tie_break)
+            _assert_orientation_results_equal(ref, fast, context)
+            assert fast.stable, context
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAK_POLICIES)
+    @pytest.mark.parametrize("family", STABLE_FAMILIES)
+    def test_every_tie_break_on_the_same_instances(self, family, tie_break):
+        """Each instance under each policy, not one policy per seed."""
+        for seed in range(4):
+            problem = _orientation_instance(family, seed)
             ref = run_stable_orientation(
                 problem, tie_break=tie_break, seed=seed, backend="dict"
             )

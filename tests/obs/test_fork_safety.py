@@ -1,12 +1,9 @@
-"""Fork-safety of the obs layer and worker attribution of pool spans.
+"""Fork-safety of :class:`~repro.obs.sinks.JsonlSink`.
 
-A :class:`~repro.obs.sinks.JsonlSink` crosses a fork as an inherited
-file *object*; :func:`repro.obs.after_fork_in_child` must rebind it to
-the child's own descriptor, drop the inherited span stack (child spans
-are roots, not children of whatever the parent had open), and restart
-span ids.  The parallel pool's batch spans additionally carry the
-``worker`` slot index so multi-process traces stay attributable — see
-``scripts/report_trace.py``.
+A sink crosses a fork as an inherited file *object*.  The pid guard in
+:meth:`JsonlSink.emit` must notice the new pid and append through the
+child's own handle, so parent and child lines never tear and every
+event carries the pid of the process that emitted it.
 """
 
 from __future__ import annotations
@@ -32,69 +29,102 @@ def test_jsonl_sink_survives_fork(tmp_path):
         with obs.span("parent.before"):
             pass
         with obs.span("parent.outer"):
-            # Fork while a span is open: the child must not close under
-            # it nor emit through the parent's file object.
+            # Fork while the sink holds an open handle and a span is
+            # open: the child emits through the inherited sink as is.
+            inherited = sink._file
             child = os.fork()
             if child == 0:
+                code = 1
                 try:
-                    obs.after_fork_in_child()
-                    with obs.span("child.work", worker=0):
-                        pass
+                    with obs.span("child.work"):
+                        obs.add("child.events")
+                    # The guard rebound the sink to a handle of its own.
+                    if sink._file is not inherited and sink._pid == os.getpid():
+                        code = 0
                 finally:
-                    os._exit(0)
+                    os._exit(code)
             _, status = os.waitpid(child, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+        with obs.span("parent.after"):
+            pass
     sink.close()
 
     events = load_jsonl(path)  # raises if any line is torn JSON
     spans = {e["name"]: e for e in events if e["type"] == "span"}
-    assert set(spans) == {"parent.before", "parent.outer", "child.work"}
-    assert spans["child.work"]["pid"] != spans["parent.outer"]["pid"]
-    # The child's inherited stack was dropped: its span is a root, and
-    # its ids restarted independently of the parent's counter.
-    assert spans["child.work"]["parent"] is None
-    assert spans["child.work"]["id"] == 1
-    assert spans["child.work"]["attrs"]["worker"] == 0
+    assert set(spans) == {
+        "parent.before",
+        "parent.outer",
+        "child.work",
+        "parent.after",
+    }
+    parent_pid = os.getpid()
+    child_events = [e for e in events if e["name"].startswith("child.")]
+    assert len(child_events) == 2
+    for event in events:
+        expected = child if event["name"].startswith("child.") else parent_pid
+        assert event["pid"] == expected, event
 
 
-def test_parallel_batches_carry_worker_attribution(tmp_path):
-    """A real pool run: worker pids emit ``parallel.batch`` spans."""
-    import random
+def test_concurrent_children_never_tear_lines(tmp_path):
+    """Children and parent append at once; every line parses and is theirs."""
+    path = str(tmp_path / "trace.jsonl")
+    sink = JsonlSink(path)
+    per_process = 200
+    with obs.use(sink):
+        obs.add("parent.opened")  # the children inherit an open handle
+        children = []
+        for k in range(3):
+            child = os.fork()
+            if child == 0:
+                code = 1
+                try:
+                    for _ in range(per_process):
+                        obs.add(f"child{k}.tick")
+                    code = 0
+                finally:
+                    os._exit(code)
+            children.append(child)
+        for _ in range(per_process):
+            obs.add("parent.tick")
+        for child in children:
+            _, status = os.waitpid(child, 0)
+            assert os.waitstatus_to_exitcode(status) == 0
+    sink.close()
 
-    from repro.core.orientation.problem import OrientationProblem
-    from repro.graphs.compact import CompactGraph
-    from repro.parallel import parallel_stable_orientation_kernel
+    events = load_jsonl(path)  # raises if any line is torn JSON
+    assert len(events) == 1 + 4 * per_process
+    by_pid = {}
+    for event in events:
+        by_pid.setdefault(event["pid"], set()).add(event["name"])
+    assert by_pid[os.getpid()] == {"parent.opened", "parent.tick"}
+    for k, child in enumerate(children):
+        assert by_pid[child] == {f"child{k}.tick"}
 
-    rng = random.Random(1)
-    n = 60
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < 0.1
-    ]
-    graph = CompactGraph.from_orientation_problem(
-        OrientationProblem(edges, nodes=range(n))
-    )
 
-    path = str(tmp_path / "parallel.jsonl")
+def test_child_opens_its_own_handle_before_the_parent_does(tmp_path):
+    """A sink forked before its first emit: both sides open lazily."""
+    path = str(tmp_path / "trace.jsonl")
     sink = JsonlSink(path)
     with obs.use(sink):
-        parallel_stable_orientation_kernel(
-            graph, seed=1, workers=2, min_edges=0, min_game_edges=0
-        )
+        assert sink._file is None
+        child = os.fork()
+        if child == 0:
+            code = 1
+            try:
+                obs.add("child.first")
+                if sink._pid == os.getpid():
+                    code = 0
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(child, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert sink._file is None  # the child's open stayed in the child
+        obs.add("parent.first")
+        assert sink._pid == os.getpid()
     sink.close()
 
     events = load_jsonl(path)
-    batches = [
-        e for e in events if e["type"] == "span" and e["name"] == "parallel.batch"
+    assert [(e["name"], e["pid"]) for e in events] == [
+        ("child.first", child),
+        ("parent.first", os.getpid()),
     ]
-    assert batches, "no parallel.batch spans were traced"
-    parent_pid = os.getpid()
-    for span in batches:
-        assert span["pid"] != parent_pid
-        assert span["attrs"]["worker"] >= 0
-        assert span["attrs"]["components"] >= 1
-    # The master's side of the dispatch is visible in the same trace.
-    names = {e["name"] for e in events if e["type"] == "counter"}
-    assert "orientation.parallel.components" in names

@@ -73,6 +73,11 @@ class TestNodeWire:
         with pytest.raises(ProtocolError):
             node_to_wire({"not": "hashable-wire"})
 
+    @pytest.mark.parametrize("value", [{"a": 1}, [0, {"a": 1}], [[{}]]])
+    def test_json_object_is_not_a_node_id(self, value):
+        with pytest.raises(ProtocolError, match="node id"):
+            wire_to_node(value)
+
 
 class TestDeltaWire:
     @pytest.mark.parametrize(
@@ -97,3 +102,8 @@ class TestDeltaWire:
             delta_from_wire("not a dict")
         with pytest.raises(ProtocolError):
             delta_from_wire({"kind": "edge-insert", "u": 0})
+
+    @pytest.mark.parametrize("kind", ["edge-insert", "edge-delete"])
+    def test_self_loop_raises(self, kind):
+        with pytest.raises(ProtocolError, match="self-loop"):
+            delta_from_wire({"kind": kind, "u": [0, 1], "v": [0, 1]})

@@ -171,6 +171,127 @@ class TestUpdates:
         assert not engine.unhappy_edges()
 
 
+class TestHostileInput:
+    """Bad requests get ``ok: false``; the connection and updater survive."""
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {"op": "load-of", "node": {"a": 1}},
+            {"op": "assignment-of", "u": {"a": 1}, "v": [0, 0]},
+            {
+                "op": "update",
+                "deltas": [{"kind": "node-leave", "node": [0, {"a": 1}]}],
+            },
+            {"op": "assignment-of", "u": [0, 0], "v": {"a": 1}},
+            {
+                "op": "update",
+                "deltas": [{"kind": "edge-insert", "u": {"a": 1}, "v": [0, 0]}],
+            },
+            {
+                "op": "update",
+                "deltas": [{"kind": "edge-delete", "u": [0, 0], "v": {"a": 1}}],
+            },
+            {
+                "op": "update",
+                "deltas": [{"kind": "node-join", "node": {"a": 1}, "attach": []}],
+            },
+            {
+                "op": "update",
+                "deltas": [
+                    {"kind": "node-join", "node": ["x", 1], "attach": [{"a": 1}]}
+                ],
+            },
+        ],
+        ids=[
+            "load-of",
+            "assignment-of",
+            "update",
+            "assignment-of-v",
+            "edge-insert",
+            "edge-delete",
+            "node-join",
+            "node-join-attach",
+        ],
+    )
+    def test_unhashable_node_id_is_an_error_not_a_disconnect(
+        self, served, request_
+    ):
+        _, client, _ = served
+        response = client.request(request_)
+        assert response["ok"] is False
+        assert client.ping()  # same connection, still usable
+
+    @pytest.mark.parametrize(
+        "deltas",
+        [
+            {"kind": "node-leave", "node": [0, 0]},
+            [[0, 1]],
+            [{"kind": "edge-teleport", "u": [0, 0], "v": [0, 1]}],
+            [{"kind": "edge-insert", "u": [0, 0]}],
+            [{"kind": "node-join", "node": ["x", 1], "attach": "0"}],
+        ],
+        ids=[
+            "deltas-not-a-list",
+            "delta-not-an-object",
+            "unknown-kind",
+            "missing-field",
+            "attach-not-a-list",
+        ],
+    )
+    def test_malformed_update_leaves_the_updater_running(self, served, deltas):
+        _, client, engine = served
+        response = client.request({"op": "update", "deltas": deltas})
+        assert response["ok"] is False
+        assert "error" in response
+        receipt = client.update([NodeJoin(("after", 1), ((0, 0),))])
+        assert receipt["applied"] == 1
+        assert client.load_of(("after", 1)) >= 0
+        assert not engine.unhappy_edges()
+
+    def test_self_loop_update_does_not_kill_the_updater(self):
+        engine = _engine()
+        thread = ServerThread(engine, ServeConfig()).start()
+        with connect(thread.address) as client:
+            response = client.request(
+                {
+                    "op": "update",
+                    "deltas": [{"kind": "edge-insert", "u": [0, 0], "v": [0, 0]}],
+                }
+            )
+            assert response["ok"] is False
+            assert "self-loop" in response["error"]
+            receipt = client.update([NodeJoin(("after", 1), ((0, 0),))])
+            assert receipt["applied"] == 1
+            assert client.load_of(("after", 1)) >= 0
+        thread.stop()  # must not re-raise an updater failure
+        assert not thread._thread.is_alive()
+        assert not engine.unhappy_edges()
+
+    def test_unexpected_engine_error_fails_only_its_batch(self, monkeypatch):
+        engine = _engine()
+        real_apply_batch = engine.apply_batch
+        calls = []
+
+        def flaky_apply_batch(deltas):
+            calls.append(len(deltas))
+            if len(calls) == 1:
+                raise RuntimeError("engine blew up")
+            return real_apply_batch(deltas)
+
+        monkeypatch.setattr(engine, "apply_batch", flaky_apply_batch)
+        thread = ServerThread(engine, ServeConfig()).start()
+        with connect(thread.address) as client:
+            with pytest.raises(ServeError, match="engine blew up"):
+                client.update([NodeJoin(("first", 1), ())])
+            receipt = client.update([NodeJoin(("second", 1), ((0, 0),))])
+            assert receipt["applied"] == 1
+            assert client.load_of(("second", 1)) >= 0
+        thread.stop()
+        assert not thread._thread.is_alive()
+        assert calls == [1, 1]
+
+
 class TestCoalescing:
     def test_concurrent_updates_coalesce(self):
         engine = _engine()

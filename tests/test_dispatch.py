@@ -30,31 +30,25 @@ class TestResolveBackend:
         assert resolve_backend(name) in ("compact", "dict")
 
 
-class TestParallelBackend:
-    """The ``compact-parallel`` name and its per-entry-point gating."""
+class TestRemovedParallelBackend:
+    """``compact-parallel`` is gone: the name is an unknown backend."""
 
-    def test_resolves_when_entry_point_supports_it(self):
-        assert (
-            resolve_backend("compact-parallel", supports_parallel=True)
-            == "compact-parallel"
-        )
-
-    def test_degrades_to_compact_without_support(self):
-        # Entry points with nothing to parallelize quietly run compact,
-        # so a process-wide REPRO_BACKEND never breaks them.
-        assert resolve_backend("compact-parallel") == "compact"
-
-    def test_env_var_selects_parallel(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "compact-parallel")
-        assert resolve_backend(None, supports_parallel=True) == "compact-parallel"
-        assert resolve_backend(None) == "compact"
-
-    def test_auto_never_resolves_to_parallel(self, monkeypatch):
-        # Parallelism is opt-in: auto prefers the serial compact kernel
-        # even where a parallel path exists.
+    def test_argument_raises_backend_error(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend(None, supports_parallel=True) == "compact"
-        assert resolve_backend("auto", supports_parallel=True) == "compact"
+        with pytest.raises(BackendError) as excinfo:
+            resolve_backend("compact-parallel")
+        assert "('auto', 'compact', 'dict')" in str(excinfo.value)
+
+    def test_env_var_raises_backend_error_at_entry_point(self, monkeypatch):
+        from repro.core.orientation.phases import run_stable_orientation
+        from repro.core.orientation.problem import OrientationProblem
+
+        monkeypatch.setenv(BACKEND_ENV_VAR, "compact-parallel")
+        with pytest.raises(BackendError) as excinfo:
+            run_stable_orientation(OrientationProblem([(0, 1)]))
+        message = str(excinfo.value)
+        assert BACKEND_ENV_VAR in message
+        assert "('auto', 'compact', 'dict')" in message
 
 
 class TestBackendErrorDiagnostics:
