@@ -9,7 +9,7 @@ Three steps cover the whole library surface for most users::
     engine = solved.dynamic()          # absorb churn, serve queries
 
 :class:`Instance` wraps a compact CSR graph (built from a named workload
-family, an edge list/stream, or an existing
+family, an edge list, or an existing
 :class:`~repro.graphs.compact.CompactGraph`); :func:`solve` runs one of
 the paper's stable-orientation algorithms under the usual
 backend-dispatch rule and returns a :class:`Solved` holding the *flat*
@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.core.orientation.incremental import DynamicOrientation
+from repro.core.orientation.problem import dense_from_orientation
 from repro.dispatch import resolve_backend
 from repro.graphs.compact import CompactGraph
 
@@ -75,12 +76,6 @@ class Instance:
         cls, edges: Iterable[Tuple[NodeId, NodeId]], nodes: Iterable[NodeId] = ()
     ) -> "Instance":
         return cls(CompactGraph.from_edges(edges, nodes=nodes))
-
-    @classmethod
-    def from_edge_stream(
-        cls, edges: Iterable[Tuple[NodeId, NodeId]], nodes: Iterable[NodeId] = ()
-    ) -> "Instance":
-        return cls(CompactGraph.from_edge_stream(edges, nodes=nodes))
 
     @classmethod
     def from_problem(cls, problem) -> "Instance":
@@ -165,21 +160,6 @@ class Solved:
         )
 
 
-def _heads_from_orientation(graph: CompactGraph, orientation) -> List[int]:
-    """Dense heads array of a reference Orientation over ``graph``'s edges."""
-    index_of = graph.index_of
-    return [
-        index_of[orientation.head_of(u, v)] for u, v in graph.edge_keys()
-    ]
-
-
-def _load_from_heads(num_nodes: int, heads: List[int]) -> List[int]:
-    load = [0] * num_nodes
-    for h in heads:
-        load[h] += 1
-    return load
-
-
 def solve(
     instance,
     *,
@@ -230,8 +210,7 @@ def solve(
             orientation, stats = synchronous_repair_orientation(
                 graph.to_orientation_problem(), seed=seed, backend="dict"
             )
-            heads = _heads_from_orientation(graph, orientation)
-            load = _load_from_heads(graph.num_nodes, heads)
+            heads, load = dense_from_orientation(graph, orientation)
         result = stats
     elif algorithm == "phases":
         from repro.core.orientation.phases import run_stable_orientation
@@ -244,8 +223,7 @@ def solve(
             check_invariants=check_invariants,
             backend=resolved,
         )
-        heads = _heads_from_orientation(graph, result.orientation)
-        load = _load_from_heads(graph.num_nodes, heads)
+        heads, load = dense_from_orientation(graph, result.orientation)
     elif algorithm == "bounded":
         from repro.core.orientation.bounded import (
             run_bounded_stable_orientation,
@@ -260,8 +238,7 @@ def solve(
             check_invariants=check_invariants,
             backend=resolved,
         )
-        heads = _heads_from_orientation(graph, result.orientation)
-        load = _load_from_heads(graph.num_nodes, heads)
+        heads, load = dense_from_orientation(graph, result.orientation)
     else:
         raise ValueError(
             f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"

@@ -29,6 +29,7 @@ from repro.core.assignment.algorithm import StableAssignmentResult
 from repro.core.orientation.problem import (
     Orientation,
     OrientationProblem,
+    as_compact_graph,
     orientation_from_dense,
 )
 from repro.dispatch import resolve_backend
@@ -169,16 +170,12 @@ def _run_bounded_compact(
     from repro.core.assignment.problem import Assignment
     from repro.core.orientation._kernels import bounded_orientation_kernel
 
-    if isinstance(problem, CompactGraph):
-        compact = problem
-    else:
-        compact = CompactGraph.from_orientation_problem(problem)
-    ref_problem = compact.to_orientation_problem()
+    compact = as_compact_graph(problem)
 
     if not compact.num_edges:
         # Nothing to orient; trivially stable.
         return BoundedOrientationResult(
-            orientation=Orientation(ref_problem),
+            orientation=Orientation(compact.to_orientation_problem()),
             k=k,
             phases=0,
             game_rounds=0,
@@ -194,9 +191,7 @@ def _run_bounded_compact(
     )
 
     ids = compact.node_ids
-    orientation = orientation_from_dense(
-        ref_problem, ids, compact.edge_keys(), choice, loads
-    )
+    orientation = orientation_from_dense(compact, choice, loads)
 
     # Rebuild the reference assignment view through trusted constructors:
     # the kernel guarantees every edge customer has exactly its two

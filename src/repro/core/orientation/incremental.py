@@ -68,6 +68,8 @@ from repro.core.orientation._unhappy import UnhappyEdgeTracker, run_repair_loop
 from repro.core.orientation.problem import (
     Orientation,
     OrientationProblem,
+    as_compact_graph,
+    dense_from_orientation,
     edge_key,
 )
 from repro.core.orientation.repair import (
@@ -639,20 +641,9 @@ class DynamicOrientation:
                     "DynamicOrientation needs a stable initial orientation"
                 )
         if self.backend == "compact":
-            base = (
-                problem
-                if isinstance(problem, CompactGraph)
-                else CompactGraph.from_orientation_problem(problem)
-            )
+            base = as_compact_graph(problem)
             if initial is not None:
-                index_of = base.index_of
-                heads = [
-                    index_of[initial.head_of(u, v)]
-                    for u, v in base.edge_keys()
-                ]
-                load = [0] * base.num_nodes
-                for h in heads:
-                    load[h] += 1
+                heads, load = dense_from_orientation(base, initial)
             else:
                 from repro.core.orientation._kernels import repair_kernel
 

@@ -39,8 +39,8 @@ from typing import Dict, Hashable, List, Optional, Tuple, Union
 from repro.core.orientation.problem import (
     Orientation,
     OrientationProblem,
+    as_compact_graph,
     check_stable,
-    edge_key,
     orientation_from_dense,
 )
 from repro.core.token_dropping.game import TokenDroppingInstance
@@ -278,11 +278,7 @@ def _run_stable_orientation_compact(
         stable_orientation_kernel as kernel,
     )
 
-    if isinstance(problem, CompactGraph):
-        compact = problem
-    else:
-        compact = CompactGraph.from_orientation_problem(problem)
-
+    compact = as_compact_graph(problem)
     heads, loads, phases, game_rounds, communication_rounds, per_phase = kernel(
         compact,
         tie_break=tie_break,
@@ -291,13 +287,7 @@ def _run_stable_orientation_compact(
         max_phases=max_phases,
     )
 
-    orientation = orientation_from_dense(
-        compact.to_orientation_problem(),
-        compact.node_ids,
-        compact.edge_keys(),
-        heads,
-        loads,
-    )
+    orientation = orientation_from_dense(compact, heads, loads)
     return StableOrientationResult(
         orientation=orientation,
         phases=phases,
@@ -305,8 +295,3 @@ def _run_stable_orientation_compact(
         communication_rounds=communication_rounds,
         per_phase=per_phase,
     )
-
-
-def edge_key_of(u: NodeId, v: NodeId) -> Tuple[NodeId, NodeId]:
-    """Re-export of :func:`repro.core.orientation.problem.edge_key` for callers."""
-    return edge_key(u, v)

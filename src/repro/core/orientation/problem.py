@@ -279,30 +279,82 @@ class Orientation:
         )
 
 
-def orientation_from_dense(
-    problem: OrientationProblem,
-    node_ids: Tuple[NodeId, ...],
-    edge_keys: Tuple[EdgeKey, ...],
-    heads,
-    loads,
-) -> Orientation:
+def orientation_from_dense(compact, heads, loads) -> Orientation:
     """Trusted construction of an :class:`Orientation` from dense kernel output.
 
     ``heads[e]`` / ``loads[i]`` are dense head ids per edge and loads per
-    node as produced by the compact kernels; ``node_ids`` / ``edge_keys``
-    are the interning tables of the corresponding
-    :class:`~repro.graphs.compact.CompactGraph`.  Bypasses the per-edge
+    node of the :class:`~repro.graphs.compact.CompactGraph` ``compact``,
+    as produced by the compact kernels; the result orients
+    ``compact.to_orientation_problem()``.  Bypasses the per-edge
     validation of :meth:`Orientation.orient` (the kernels only emit
     endpoints of existing edges), so wrapping a kernel result costs one
     dict build instead of ``m`` validated orient calls.
     """
+    node_ids = compact.node_ids
     orientation = Orientation.__new__(Orientation)
-    orientation.problem = problem
+    orientation.problem = compact.to_orientation_problem()
     orientation._heads = {
-        key: node_ids[heads[e]] for e, key in enumerate(edge_keys)
+        key: node_ids[heads[e]] for e, key in enumerate(compact.edge_keys())
     }
     orientation._load = {node_ids[i]: loads[i] for i in range(len(node_ids))}
     return orientation
+
+
+def dense_from_orientation(compact, orientation) -> Tuple[List[int], List[int]]:
+    """Dense ``(heads, loads)`` of a complete ``orientation`` over ``compact``.
+
+    The inverse of :func:`orientation_from_dense`: ``heads[e]`` is the
+    dense head of edge ``e`` of the
+    :class:`~repro.graphs.compact.CompactGraph` and ``loads[i]`` the
+    indegree of dense node ``i``.
+    """
+    index_of = compact.index_of
+    heads = [index_of[orientation.head_of(u, v)] for u, v in compact.edge_keys()]
+    loads = [0] * compact.num_nodes
+    for h in heads:
+        loads[h] += 1
+    return heads, loads
+
+
+def as_compact_graph(problem):
+    """``problem`` as a :class:`~repro.graphs.compact.CompactGraph`.
+
+    A pre-interned graph passes through; an :class:`OrientationProblem`
+    is interned once (and stays cached as the graph's reference problem).
+    """
+    from repro.graphs.compact import CompactGraph
+
+    if isinstance(problem, CompactGraph):
+        return problem
+    return CompactGraph.from_orientation_problem(problem)
+
+
+def compact_kernel_input(
+    problem, initial: Optional[Orientation], limit: Optional[int], name: str
+):
+    """The ``(compact, initial_heads, limit)`` a flip kernel starts from.
+
+    Without ``initial`` the kernel runs on ``problem`` interned and sizes
+    its own safety valve.  With one, it runs on ``initial.problem`` from
+    the dense heads of ``initial``, and a missing ``limit`` is sized
+    ``Σ deg(v)² + 1`` over ``problem``, as the reference path does even
+    when ``initial`` brings its own graph.
+    """
+    from repro.graphs.compact import CompactGraph
+
+    if initial is None:
+        return as_compact_graph(problem), None, limit
+    if not initial.is_complete():
+        raise ValueError(f"{name} needs a complete initial orientation")
+    compact = as_compact_graph(initial.problem)
+    if limit is None:
+        if isinstance(problem, CompactGraph):
+            degrees = [problem.degree(i) for i in range(problem.num_nodes)]
+        else:
+            degrees = [problem.degree(x) for x in problem.nodes]
+        limit = sum(d * d for d in degrees) + 1
+    heads, _ = dense_from_orientation(compact, initial)
+    return compact, heads, limit
 
 
 def arbitrary_complete_orientation(

@@ -34,6 +34,7 @@ from repro.core.orientation.problem import (
     Orientation,
     OrientationProblem,
     arbitrary_complete_orientation,
+    compact_kernel_input,
     orientation_from_dense,
 )
 from repro.dispatch import resolve_backend
@@ -155,36 +156,9 @@ def _synchronous_repair_compact(
     """Fast path: intern once, run the int-array kernel, wrap the result."""
     from repro.core.orientation._kernels import repair_kernel
 
-    if initial is not None:
-        if not initial.is_complete():
-            raise ValueError(
-                "the repair baseline needs a complete initial orientation"
-            )
-        compact = CompactGraph.from_orientation_problem(initial.problem)
-        ref_problem = initial.problem
-        initial_heads = [
-            compact.index_of[initial.head_of(u, v)] for u, v in compact.edge_keys()
-        ]
-    elif isinstance(problem, CompactGraph):
-        compact = problem
-        ref_problem = None  # resolved lazily below
-        initial_heads = None
-    else:
-        compact = CompactGraph.from_orientation_problem(problem)
-        ref_problem = problem
-        initial_heads = None
-
-    if max_iterations is None and initial is not None:
-        # The reference sizes the safety valve from `problem` even when
-        # `initial` brings its own graph; mirror that.
-        if isinstance(problem, CompactGraph):
-            ptr = problem.indptr
-            max_iterations = (
-                sum((ptr[i + 1] - ptr[i]) ** 2 for i in range(problem.num_nodes)) + 1
-            )
-        else:
-            max_iterations = sum(problem.degree(x) ** 2 for x in problem.nodes) + 1
-
+    compact, initial_heads, max_iterations = compact_kernel_input(
+        problem, initial, max_iterations, "the repair baseline"
+    )
     heads, loads, stats = repair_kernel(
         compact,
         seed=seed,
@@ -192,9 +166,5 @@ def _synchronous_repair_compact(
         initial_heads=initial_heads,
     )
 
-    if ref_problem is None:
-        ref_problem = compact.to_orientation_problem()
-    orientation = orientation_from_dense(
-        ref_problem, compact.node_ids, compact.edge_keys(), heads, loads
-    )
+    orientation = orientation_from_dense(compact, heads, loads)
     return orientation, stats

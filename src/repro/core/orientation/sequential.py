@@ -26,6 +26,7 @@ from repro.core.orientation.problem import (
     Orientation,
     OrientationProblem,
     arbitrary_complete_orientation,
+    compact_kernel_input,
     orientation_from_dense,
 )
 from repro.dispatch import resolve_backend
@@ -184,36 +185,9 @@ def _sequential_flip_compact(
     """Fast path: intern once, run the int-array kernel, wrap the result."""
     from repro.core.orientation._kernels import sequential_flip_kernel
 
-    if initial is not None:
-        if not initial.is_complete():
-            raise ValueError(
-                "the sequential flip algorithm needs a complete initial orientation"
-            )
-        compact = CompactGraph.from_orientation_problem(initial.problem)
-        ref_problem = initial.problem
-        initial_heads = [
-            compact.index_of[initial.head_of(u, v)] for u, v in compact.edge_keys()
-        ]
-    elif isinstance(problem, CompactGraph):
-        compact = problem
-        ref_problem = None  # resolved lazily below
-        initial_heads = None
-    else:
-        compact = CompactGraph.from_orientation_problem(problem)
-        ref_problem = problem
-        initial_heads = None
-
-    if max_flips is None:
-        # The reference path sizes the safety valve from the `problem`
-        # argument, so mirror that even when `initial` brings its own graph.
-        if isinstance(problem, CompactGraph):
-            ptr = problem.indptr
-            max_flips = (
-                sum((ptr[i + 1] - ptr[i]) ** 2 for i in range(problem.num_nodes)) + 1
-            )
-        else:
-            max_flips = sum(problem.degree(n) ** 2 for n in problem.nodes) + 1
-
+    compact, initial_heads, max_flips = compact_kernel_input(
+        problem, initial, max_flips, "the sequential flip algorithm"
+    )
     heads, loads, flips, initial_potential, final_potential, trace = (
         sequential_flip_kernel(
             compact,
@@ -225,11 +199,7 @@ def _sequential_flip_compact(
         )
     )
 
-    if ref_problem is None:
-        ref_problem = compact.to_orientation_problem()
-    orientation = orientation_from_dense(
-        ref_problem, compact.node_ids, compact.edge_keys(), heads, loads
-    )
+    orientation = orientation_from_dense(compact, heads, loads)
 
     stats = SequentialRunStats(
         flips=flips,

@@ -16,6 +16,12 @@ path performs, touching only integer arrays in the hot loop: token
 positions, per-edge consumed flags, incremental parent/child counts, and
 per-phase request/grant buffers instead of per-message dict envelopes.
 
+Two builders produce that dense game: :func:`game_from_arrays` (list
+based; also behind ``_DenseGame.from_instance`` and
+``_DenseGame.from_compact_network``) and :func:`game_from_edge_stream`
+(``array('q')`` buffers for streamed 10^6-node games).  Both number game
+edges in ascending ``(child, parent)`` order, so their arrays are equal.
+
 Exactness contract
 ------------------
 The kernels reproduce the reference executions bit-for-bit: the same
@@ -98,13 +104,6 @@ class _DenseGame:
         self.chi_node: List[int] = []
         self.chi_edge: List[int] = []
 
-    def _flatten_children(self, chi_lists: List[List[Tuple[int, int]]]) -> None:
-        for p, entries in enumerate(chi_lists):
-            for child, edge in entries:
-                self.chi_node.append(child)
-                self.chi_edge.append(edge)
-            self.chi_ptr[p + 1] = len(self.chi_node)
-
     @classmethod
     def of(cls, net: CompactNetwork) -> "_DenseGame":
         """The dense game of ``net``, memoized on the compact network.
@@ -120,45 +119,21 @@ class _DenseGame:
         return cached
 
     @classmethod
-    def _build(cls, n: int, rows) -> "_DenseGame":
-        """Build from per-node ``(has_token, level, sorted_dense_parents)``.
-
-        The single place where CSR slots and the shared edge-id space are
-        assigned; both constructors feed it through an accessor generator.
-        """
-        game = cls(n)
-        chi_lists: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        edge = 0
-        for i, (has_token, level, parents) in enumerate(rows):
-            if has_token:
-                game.has_token[i] = 1
-            if level:
-                game.level[i] = level
-            for p in parents:
-                game.par_node.append(p)
-                game.par_edge.append(edge)
-                chi_lists[p].append((i, edge))
-                edge += 1
-            game.par_ptr[i + 1] = len(game.par_node)
-        game.num_edges = edge
-        game._flatten_children(chi_lists)
-        return game
-
-    @classmethod
     def from_compact_network(cls, net: CompactNetwork) -> "_DenseGame":
         """Read the token-dropping local inputs of every node (one pass)."""
         index_of = net.index_of
-
-        def rows():
-            for local in net.local_inputs:
-                local = local or {}
-                yield (
-                    local.get(LOCAL_HAS_TOKEN),
-                    int(local.get(LOCAL_LEVEL) or 0),
-                    sorted(index_of[x] for x in local.get(LOCAL_PARENTS, ())),
-                )
-
-        return cls._build(net.num_nodes, rows())
+        inputs = [local or {} for local in net.local_inputs]
+        game, _ = game_from_arrays(
+            net.num_nodes,
+            [local.get(LOCAL_HAS_TOKEN) for local in inputs],
+            [int(local.get(LOCAL_LEVEL) or 0) for local in inputs],
+            [
+                (i, index_of[x], 0)
+                for i, local in enumerate(inputs)
+                for x in local.get(LOCAL_PARENTS, ())
+            ],
+        )
+        return game
 
     @classmethod
     def from_instance(
@@ -167,16 +142,17 @@ class _DenseGame:
         """Intern a :class:`TokenDroppingInstance` directly (one pass)."""
         graph = instance.graph
         node_ids, index_of = intern_nodes(graph.levels)
-
-        def rows():
-            for node in node_ids:
-                yield (
-                    node in instance.tokens,
-                    graph.levels[node],
-                    sorted(index_of[x] for x in graph.parents(node)),
-                )
-
-        return cls._build(len(node_ids), rows()), node_ids, index_of
+        game, _ = game_from_arrays(
+            len(node_ids),
+            [node in instance.tokens for node in node_ids],
+            [graph.levels[node] for node in node_ids],
+            [
+                (i, index_of[x], 0)
+                for i, node in enumerate(node_ids)
+                for x in graph.parents(node)
+            ],
+        )
+        return game, node_ids, index_of
 
 
 def game_from_arrays(
@@ -251,6 +227,8 @@ def game_from_arrays(
     return game, payloads
 
 
+# Kept beside game_from_arrays: slower on a solve's phase games, but its
+# array('q') buffers are what fit 10^6-node streamed games in memory.
 def game_from_edge_stream(
     num_nodes: int,
     edges: Iterable[Tuple[int, int]],

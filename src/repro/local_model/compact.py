@@ -12,11 +12,12 @@ This module is the compact counterpart, mirroring the design of
 * :class:`CompactNetwork` re-represents a :class:`~repro.local_model.
   network.Network` **once**: node ids (arbitrary Hashables) are interned
   into dense integers in ``repr``-sorted order via
-  :func:`repro.graphs.compact.intern_nodes`, and the undirected adjacency
-  is stored as CSR over :mod:`array` of signed 64-bit ints.  Because the
-  reference algorithms break ties by ``repr`` order, "ascending dense id"
-  and "reference tie-break order" coincide, which is what lets int-array
-  kernels replay reference executions exactly.
+  :func:`repro.graphs.compact.intern_nodes`, with each node's local input
+  aligned to its dense id.  Because the reference algorithms break ties
+  by ``repr`` order, "ascending dense id" and "reference tie-break order"
+  coincide, which is what lets int-array kernels replay reference
+  executions exactly.  Kernels build whatever adjacency they need from
+  the local inputs (the token kernels read each node's parents there).
 * :class:`CompactEngine` is the batched synchronous round engine: it owns
   the flat per-node state every kernel needs — alive flags, halt rounds,
   the round budget, and the message counter — so a kernel only supplies
@@ -31,10 +32,9 @@ algorithms without a kernel always take the reference scheduler.
 
 from __future__ import annotations
 
-from array import array
 from typing import Any, Dict, Hashable, List, Tuple
 
-from repro.graphs.compact import INDEX_TYPECODE, intern_nodes
+from repro.graphs.compact import intern_nodes
 from repro.local_model.errors import RoundLimitExceeded
 from repro.local_model.metrics import ExecutionMetrics
 from repro.local_model.network import Network
@@ -43,7 +43,7 @@ NodeId = Hashable
 
 
 class CompactNetwork:
-    """An immutable LOCAL-model network in CSR form over dense node ids.
+    """An immutable LOCAL-model network over dense node ids.
 
     Attributes
     ----------
@@ -52,10 +52,6 @@ class CompactNetwork:
         tie-break order).
     index_of:
         Inverse of ``node_ids``.
-    indptr, indices:
-        CSR adjacency (``array('q')``): the neighbours of dense node ``i``
-        are ``indices[indptr[i]:indptr[i+1]]``, ascending — which is
-        ``repr`` order by construction of the interning.
     local_inputs:
         Per dense node, the node's original local input object.
     """
@@ -63,8 +59,6 @@ class CompactNetwork:
     __slots__ = (
         "node_ids",
         "index_of",
-        "indptr",
-        "indices",
         "local_inputs",
         "derived",
     )
@@ -73,14 +67,10 @@ class CompactNetwork:
         self,
         node_ids: Tuple[NodeId, ...],
         index_of: Dict[NodeId, int],
-        indptr: array,
-        indices: array,
         local_inputs: List[Any],
     ) -> None:
         self.node_ids = node_ids
         self.index_of = index_of
-        self.indptr = indptr
-        self.indices = indices
         self.local_inputs = local_inputs
         #: Memo for immutable structures kernels derive from this network
         #: (e.g. the dense token-game adjacency); keyed by kernel family.
@@ -88,19 +78,10 @@ class CompactNetwork:
 
     @classmethod
     def from_network(cls, network: Network) -> "CompactNetwork":
-        """Intern a reference :class:`Network` (one O(n + m) pass)."""
+        """Intern a reference :class:`Network` (one O(n) pass)."""
         node_ids, index_of = intern_nodes(iter(network))
-        indptr = array(INDEX_TYPECODE, [0])
-        indices = array(INDEX_TYPECODE)
-        local_inputs: List[Any] = []
-        total = 0
-        for node in node_ids:
-            dense = sorted(index_of[x] for x in network.neighbors(node))
-            indices.extend(dense)
-            total += len(dense)
-            indptr.append(total)
-            local_inputs.append(network.local_input(node))
-        return cls(node_ids, index_of, indptr, indices, local_inputs)
+        local_inputs = [network.local_input(node) for node in node_ids]
+        return cls(node_ids, index_of, local_inputs)
 
     @classmethod
     def of(cls, network: Network) -> "CompactNetwork":
@@ -121,20 +102,8 @@ class CompactNetwork:
     def num_nodes(self) -> int:
         return len(self.node_ids)
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.indices) // 2
-
-    def degree(self, i: int) -> int:
-        """Degree of dense node ``i``."""
-        return self.indptr[i + 1] - self.indptr[i]
-
-    def neighbors(self, i: int) -> memoryview:
-        """Dense neighbour ids of dense node ``i`` (ascending, zero-copy)."""
-        return memoryview(self.indices)[self.indptr[i] : self.indptr[i + 1]]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CompactNetwork(n={self.num_nodes}, m={self.num_edges})"
+        return f"CompactNetwork(n={self.num_nodes})"
 
 
 class CompactEngine:

@@ -49,7 +49,9 @@ STATE_KIND = "repro.serve/dynamic-orientation"
 
 def _encode_node_ids(node_ids) -> dict:
     n = len(node_ids)
-    if all(node_ids[i] == i for i in range(n)):
+    # Exact ints only: False == 0 and 0.0 == 0, but a restore must not
+    # turn them into ints.
+    if all(type(x) is int and x == i for i, x in enumerate(node_ids)):
         return {"encoding": "range", "n": n}
     text = repr(tuple(node_ids))
     try:

@@ -234,14 +234,30 @@ class TestCompactBipartite:
             CompactBipartite.from_edges(["c"], ["s"], [("c", "unknown")])
         with pytest.raises(BipartiteGraphError):
             CompactBipartite.from_edges(["c", "lonely"], ["s"], [("c", "s")])
+        with pytest.raises(BipartiteGraphError):
+            CompactBipartite.from_edges(["c"], ["s"], [("missing", "s")])
+        with pytest.raises(BipartiteGraphError):
+            CompactBipartite.from_edges(["c"], ["s"], [("c", "s", "extra")])
 
     def test_validation_matches_reference_constructor(self):
         # The compact and reference constructors accept/reject the same inputs.
         cases = [
             (["c1", "c2"], ["s1", "s2"], [("c1", "s1"), ("c2", "s1"), ("c2", "s2")]),
             (["c1"], ["s1"], [("c1", "s1")]),
+            # Mixed-type ids on both sides.
+            (
+                [1, "c", (2, 3)],
+                ["s1", 9],
+                [(1, "s1"), ("c", 9), ((2, 3), "s1"), ((2, 3), 9)],
+            ),
+            ([], [], []),  # empty sides
+            (["c"], ["s", "spare"], [("c", "s")]),  # an isolated server is fine
         ]
         for customers, servers, edges in cases:
             compact = CompactBipartite.from_edges(customers, servers, edges)
             reference = CustomerServerGraph(customers, servers, edges)
             assert compact.to_customer_server_graph() == reference
+            assert compact.customer_ids == reference.customers
+            assert compact.server_ids == reference.servers
+            for si, server in enumerate(compact.server_ids):
+                assert compact.server_degree(si) == len(reference.customers_of(server))

@@ -1,13 +1,13 @@
-"""``from_edge_stream``: bit-for-bit parity with the dict-path builders.
+"""``CompactGraph.from_edge_stream``: bit-for-bit parity with ``from_edges``.
 
-The streaming constructors exist so million-edge instances never pay for
-a per-edge dict, tuple list, or networkx graph — but they must stay
-*indistinguishable* from :meth:`CompactGraph.from_edges` /
-:meth:`CompactBipartite.from_edges` on any input the dict path accepts
-(and reject exactly what it rejects).  These tests pin that contract on
-seeded instances up to n=10^4 plus the edge cases the bucket-sort could
-plausibly get wrong: duplicate edges, isolated nodes, empty streams, and
-mixed-type ids whose ordering exercises the repr-key assembly.
+The streaming constructor exists so million-edge instances never pay for
+a per-edge dict, tuple list, or networkx graph — but it must stay
+*indistinguishable* from :meth:`CompactGraph.from_edges` on any input the
+dict path accepts (and reject exactly what it rejects).  These tests pin
+that contract on seeded instances up to n=10^4 plus the edge cases the
+bucket-sort could plausibly get wrong: duplicate edges, isolated nodes,
+empty streams, and mixed-type ids whose ordering exercises the repr-key
+assembly.
 """
 
 from __future__ import annotations
@@ -15,13 +15,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.orientation.problem import OrientationError
-from repro.graphs.bipartite import BipartiteGraphError
-from repro.graphs.compact import CompactBipartite, CompactGraph
-from repro.graphs.generators import (
-    bounded_degree_gnp,
-    random_bipartite_customer_server,
-    random_layered_graph,
-)
+from repro.graphs.compact import CompactGraph
+from repro.graphs.generators import bounded_degree_gnp, random_layered_graph
 
 
 def assert_same_compact_graph(a: CompactGraph, b: CompactGraph) -> None:
@@ -33,17 +28,6 @@ def assert_same_compact_graph(a: CompactGraph, b: CompactGraph) -> None:
     assert a.slot_edge == b.slot_edge
     assert a.edge_u == b.edge_u
     assert a.edge_v == b.edge_v
-
-
-def assert_same_compact_bipartite(a: CompactBipartite, b: CompactBipartite) -> None:
-    assert a.customer_ids == b.customer_ids
-    assert a.server_ids == b.server_ids
-    assert a.customer_index == b.customer_index
-    assert a.server_index == b.server_index
-    assert a.cust_indptr == b.cust_indptr
-    assert a.cust_indices == b.cust_indices
-    assert a.serv_indptr == b.serv_indptr
-    assert a.serv_indices == b.serv_indices
 
 
 class TestCompactGraphStream:
@@ -133,51 +117,3 @@ class TestCompactGraphStream:
         problem = compact.to_orientation_problem()
         assert problem.edges == compact.edge_keys()
         assert tuple(problem.nodes) == compact.node_ids
-
-
-class TestCompactBipartiteStream:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_equals_from_edges_on_seeded_instances(self, seed):
-        graph = random_bipartite_customer_server(
-            40, 12, 3, seed=seed, server_skew=1.0
-        )
-        customers = list(graph.customer_adjacency)
-        servers = list(graph.server_adjacency)
-        edges = list(graph.edges())
-        assert_same_compact_bipartite(
-            CompactBipartite.from_edge_stream(customers, servers, iter(edges)),
-            CompactBipartite.from_edges(customers, servers, edges),
-        )
-
-    def test_mixed_type_ids(self):
-        customers = [1, "c", (2, 3)]
-        servers = ["s1", 9]
-        edges = [(1, "s1"), ("c", 9), ((2, 3), "s1"), ((2, 3), 9)]
-        assert_same_compact_bipartite(
-            CompactBipartite.from_edge_stream(customers, servers, iter(edges)),
-            CompactBipartite.from_edges(customers, servers, edges),
-        )
-
-    def test_empty_sides_and_stream(self):
-        compact = CompactBipartite.from_edge_stream([], [], iter(()))
-        assert compact.num_customers == 0
-        assert compact.num_servers == 0
-        assert compact.num_edges == 0
-        # Servers may be isolated; customers may not.
-        spare = CompactBipartite.from_edge_stream(["c"], ["s", "spare"], [("c", "s")])
-        assert spare.server_degree(spare.server_index["spare"]) == 0
-
-    def test_validation_matches_from_edges(self):
-        cases = [
-            (["x"], ["x"], [("x", "x")]),  # overlap
-            (["c"], ["s"], [("c", "s"), ("c", "s")]),  # duplicate
-            (["c"], ["s"], [("c", "unknown")]),  # unknown server
-            (["c"], ["s"], [("missing", "s")]),  # unknown customer
-            (["c", "lonely"], ["s"], [("c", "s")]),  # isolated customer
-            (["c"], ["s"], [("c", "s", "extra")]),  # malformed edge
-        ]
-        for customers, servers, edges in cases:
-            with pytest.raises(BipartiteGraphError):
-                CompactBipartite.from_edge_stream(customers, servers, iter(edges))
-            with pytest.raises(BipartiteGraphError):
-                CompactBipartite.from_edges(customers, servers, edges)

@@ -33,16 +33,6 @@ class TestCompactNetwork:
         assert compact.node_ids == ("a", "c", (1, 2), 10)
         assert [compact.index_of[n] for n in compact.node_ids] == [0, 1, 2, 3]
 
-    def test_csr_neighbors_ascending_and_degrees(self):
-        compact = CompactNetwork.from_network(sample_network())
-        for i in range(compact.num_nodes):
-            neighbors = list(compact.neighbors(i))
-            assert neighbors == sorted(neighbors)
-            assert compact.degree(i) == len(neighbors)
-        assert compact.num_edges == 3
-        # 'c' (dense 1) is adjacent to 'a' (dense 0) and 10 (dense 3).
-        assert list(compact.neighbors(1)) == [0, 3]
-
     def test_local_inputs_aligned_with_dense_ids(self):
         compact = CompactNetwork.from_network(sample_network())
         assert compact.local_inputs[compact.index_of["c"]] == {"tag": "C"}

@@ -11,7 +11,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.orientation import DynamicOrientation
-from repro.graphs.compact import ArraySnapshot, SnapshotError, write_array_snapshot
+from repro.graphs.compact import (
+    ArraySnapshot,
+    CompactGraph,
+    SnapshotError,
+    write_array_snapshot,
+)
 from repro.serve.snapshot import STATE_KIND, load_state, save_state
 from repro.workloads import churn_smoke, churn_smoke_trace
 from repro.workloads.scenarios import scale_layered_orientation
@@ -78,8 +83,6 @@ class TestRoundTrip:
     def test_dense_int_ids_use_the_range_encoding(self, tmp_path):
         # Interning is repr-sorted, so ids 0..9 land in numeric order and
         # the compact range shortcut applies.
-        from repro.graphs.compact import CompactGraph
-
         graph = CompactGraph.from_edges(
             [(i, (i + 1) % 10) for i in range(10)], nodes=range(10)
         )
@@ -90,16 +93,31 @@ class TestRoundTrip:
         restored = load_state(path)
         assert _full_state(restored) == _full_state(engine)
 
-    def test_scale_family_round_trips_via_repr_encoding(self, tmp_path):
-        graph = scale_layered_orientation(
-            num_levels=6, width=40, edge_probability=0.05, seed=2
-        )
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: scale_layered_orientation(
+                num_levels=6, width=40, edge_probability=0.05, seed=2
+            ),
+            # Ids equal to 0..n-1 that are not ints must keep their type.
+            lambda: CompactGraph.from_edges([(False, True)]),
+            lambda: CompactGraph.from_edges([(0.0, 1.0), (1.0, 2.0)]),
+        ],
+        ids=["scale-family", "bools", "floats"],
+    )
+    def test_non_range_ids_round_trip_via_repr_encoding(self, tmp_path, build):
+        graph = build()
         engine = DynamicOrientation(graph, seed=2)
-        path = tmp_path / "scale.rprosnp"
+        path = tmp_path / "ids.rprosnp"
         meta = save_state(engine, path)
         assert meta["node_ids"]["encoding"] == "repr"
         restored = load_state(path)
         assert _full_state(restored) == _full_state(engine)
+        restored_ids = restored.solved_arrays()[0].node_ids
+        assert list(map(type, restored_ids)) == list(map(type, graph.node_ids))
+        u, v = graph.edge_keys()[0]
+        head = engine.head_of(u, v)
+        assert repr(restored.head_of(u, v)) == repr(head)
 
     def test_validate_false_skips_the_stability_check(self, tmp_path):
         engine, _ = _solved_engine(10)
