@@ -225,39 +225,59 @@ class TestCompactBipartite:
             row = list(compact.servers_of(ci))
             assert row == sorted(row)
 
-    def test_from_edges_validation(self):
+    @pytest.mark.parametrize(
+        "customers, servers, edges",
+        [
+            (["x"], ["x"], [("x", "x")]),
+            (["c"], ["s"], [("c", "s"), ("c", "s")]),
+            (["c"], ["s"], [("c", "unknown")]),
+            (["c", "lonely"], ["s"], [("c", "s")]),
+            (["c"], ["s"], [("missing", "s")]),
+            (["c"], ["s"], [("c", "s", "extra")]),
+        ],
+        ids=[
+            "overlap",
+            "duplicate",
+            "unknown-server",
+            "isolated-customer",
+            "unknown-customer",
+            "malformed-edge",
+        ],
+    )
+    def test_from_edges_validation(self, customers, servers, edges):
+        # The compact and reference constructors reject the same inputs.
         with pytest.raises(BipartiteGraphError):
-            CompactBipartite.from_edges(["x"], ["x"], [("x", "x")])
+            CompactBipartite.from_edges(customers, servers, edges)
         with pytest.raises(BipartiteGraphError):
-            CompactBipartite.from_edges(["c"], ["s"], [("c", "s"), ("c", "s")])
-        with pytest.raises(BipartiteGraphError):
-            CompactBipartite.from_edges(["c"], ["s"], [("c", "unknown")])
-        with pytest.raises(BipartiteGraphError):
-            CompactBipartite.from_edges(["c", "lonely"], ["s"], [("c", "s")])
-        with pytest.raises(BipartiteGraphError):
-            CompactBipartite.from_edges(["c"], ["s"], [("missing", "s")])
-        with pytest.raises(BipartiteGraphError):
-            CompactBipartite.from_edges(["c"], ["s"], [("c", "s", "extra")])
+            CustomerServerGraph(customers, servers, edges)
 
-    def test_validation_matches_reference_constructor(self):
-        # The compact and reference constructors accept/reject the same inputs.
-        cases = [
+    @pytest.mark.parametrize(
+        "customers, servers, edges",
+        [
             (["c1", "c2"], ["s1", "s2"], [("c1", "s1"), ("c2", "s1"), ("c2", "s2")]),
             (["c1"], ["s1"], [("c1", "s1")]),
-            # Mixed-type ids on both sides.
             (
                 [1, "c", (2, 3)],
                 ["s1", 9],
                 [(1, "s1"), ("c", 9), ((2, 3), "s1"), ((2, 3), 9)],
             ),
-            ([], [], []),  # empty sides
-            (["c"], ["s", "spare"], [("c", "s")]),  # an isolated server is fine
-        ]
-        for customers, servers, edges in cases:
-            compact = CompactBipartite.from_edges(customers, servers, edges)
-            reference = CustomerServerGraph(customers, servers, edges)
-            assert compact.to_customer_server_graph() == reference
-            assert compact.customer_ids == reference.customers
-            assert compact.server_ids == reference.servers
-            for si, server in enumerate(compact.server_ids):
-                assert compact.server_degree(si) == len(reference.customers_of(server))
+            ([], [], []),
+            (["c"], ["s", "spare"], [("c", "s")]),
+        ],
+        ids=[
+            "two-by-two",
+            "single-edge",
+            "mixed-type-ids",
+            "empty-sides",
+            "isolated-server",
+        ],
+    )
+    def test_validation_matches_reference_constructor(self, customers, servers, edges):
+        # The compact and reference constructors accept the same inputs.
+        compact = CompactBipartite.from_edges(customers, servers, edges)
+        reference = CustomerServerGraph(customers, servers, edges)
+        assert compact.to_customer_server_graph() == reference
+        assert compact.customer_ids == reference.customers
+        assert compact.server_ids == reference.servers
+        for si, server in enumerate(compact.server_ids):
+            assert compact.server_degree(si) == len(reference.customers_of(server))
