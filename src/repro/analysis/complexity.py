@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class PowerLawFit:
@@ -47,6 +45,8 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
     counts: an algorithm cannot take fewer than one round once it does
     anything at all).
     """
+    import numpy as np
+
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have the same length")
     if len(xs) < 2:

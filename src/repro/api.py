@@ -184,8 +184,9 @@ def solve(
         its output is only k-relaxed stable).
     backend:
         The usual dispatch names (``auto``/``compact``/``dict``); on the
-        compact repair path the kernel's arrays are returned directly — no
-        dict structure is ever built.
+        compact repair and phases paths the kernel's arrays are returned
+        directly — no dict structure is built unless
+        ``result.orientation`` is read.
     tie_break, k, check_invariants:
         Passed through to the underlying algorithm where applicable.
     """
@@ -223,7 +224,10 @@ def solve(
             check_invariants=check_invariants,
             backend=resolved,
         )
-        heads, load = dense_from_orientation(graph, result.orientation)
+        if result.dense is not None:
+            heads, load = result.dense
+        else:
+            heads, load = dense_from_orientation(graph, result.orientation)
     elif algorithm == "bounded":
         from repro.core.orientation.bounded import (
             run_bounded_stable_orientation,

@@ -5,9 +5,10 @@ This module holds the compact counterparts of the orientation algorithms:
 * :func:`sequential_flip_kernel` — the centralized flip baseline
   (:mod:`repro.core.orientation.sequential`);
 * :func:`stable_orientation_kernel` — the phase-based Theorem 5.1
-  algorithm (:mod:`repro.core.orientation.phases`), building each phase's
-  token dropping game directly as int arrays and chaining into the
-  compact proposal-game kernel of
+  algorithm (:mod:`repro.core.orientation.phases`), run as whole-array
+  NumPy steps over zero-copy views of the CSR buffers: each phase's
+  token dropping game is built directly as arrays and played by the
+  NumPy proposal-game kernel of
   :mod:`repro.core.token_dropping._kernels`;
 * :func:`repair_kernel` — the synchronous repair baseline
   (:mod:`repro.core.orientation.repair`);
@@ -21,7 +22,9 @@ Each kernel runs the same algorithm on a
 arrays in the hot loop, and reproduces the reference implementation's
 results *exactly* — same final orientation, same per-phase statistics,
 same round counts — which the cross-validation suite asserts on hundreds
-of seeded instances.
+of seeded instances.  The phase kernel is the only one on NumPy (imported
+on first use, so the other kernels never load it); the flip, repair and
+bounded kernels are Python loops over lists.
 
 How reference tie-breaking is replayed in int-land
 --------------------------------------------------
@@ -40,11 +43,14 @@ from __future__ import annotations
 
 import random
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.graphs.compact import CompactGraph
 from repro.local_model.errors import AlgorithmError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def directed_ranks(graph: CompactGraph) -> Tuple[List[int], List[int]]:
@@ -183,102 +189,79 @@ def sequential_flip_kernel(
 # ----------------------------------------------------------------------
 # The phase-based stable orientation algorithm (Theorem 5.1)
 # ----------------------------------------------------------------------
-def _solve_phase_game_serial(
-    eu: Sequence[int],
-    ev: Sequence[int],
+def _solve_phase_game(
     ids: Sequence,
-    sub: List[int],
-    load: Sequence[int],
-    heads: Sequence[int],
-    game_edge_list: Sequence[int],
-    accepted_edge: Dict[int, int],
+    load: np.ndarray,
+    tails: np.ndarray,
+    heads: np.ndarray,
+    game_edges: np.ndarray,
+    accepting: np.ndarray,
     height: int,
     tie_break: str,
     seed: int,
     check_invariants: bool,
-) -> Tuple[List[int], int]:
+) -> Tuple[np.ndarray, int]:
     """Build and solve one phase's token dropping game.
 
-    ``game_edge_list`` is the phase's badness-1 edge set in ascending
-    order (the reference scan order); ``sub`` is a caller-owned dense-id
-    -> game-id scratch map of value -1 everywhere, restored before
-    returning.  Returns ``(consumed_edges, communication_rounds)`` where
-    ``consumed_edges`` is the ascending list of graph edges consumed by a
-    token pass — exactly the edges step 4 must flip.
+    ``game_edges`` are the phase's badness-1 edges in ascending order
+    with their ``tails`` (children) and ``heads`` (parents); ``accepting``
+    flags the nodes that accepted a proposal this phase (the token
+    holders).  The game is restricted to the nodes incident to a game
+    edge, renumbered in ascending dense order.  Returns
+    ``(consumed_edges, communication_rounds)``: the graph edges consumed
+    by a token pass — exactly the edges step 4 must flip.
     """
-    from repro.core.token_dropping._kernels import (
-        _node_rngs,
-        game_from_arrays,
-        proposal_game_kernel,
-    )
+    import numpy as np
+
+    # Its functions are looked up through the module at call time, so
+    # wrappers installed on the module (a tracer's, say) take effect.
+    from repro.core.token_dropping import _kernels as td
     from repro.core.token_dropping.traversal import InvalidSolutionError
 
-    game_edges: List[Tuple[int, int, int]] = []
-    participants: List[int] = []
-    for e in game_edge_list:
-        h = heads[e]
-        t = eu[e] if h == ev[e] else ev[e]
-        game_edges.append((t, h, e))
-        if sub[t] < 0:
-            sub[t] = 0
-            participants.append(t)
-        if sub[h] < 0:
-            sub[h] = 0
-            participants.append(h)
-    participants.sort()
-    for i, g in enumerate(participants):
-        sub[g] = i
-    num_participants = len(participants)
-
-    has_token = bytearray(num_participants)
-    for node in accepted_edge:
-        if sub[node] >= 0:
-            has_token[sub[node]] = 1
-    game, payloads = game_from_arrays(
-        num_participants,
-        has_token,
-        [load[g] for g in participants],
-        [(sub[t], sub[h], e) for t, h, e in game_edges],
+    incident = np.zeros(len(load), dtype=bool)
+    incident[tails] = True
+    incident[heads] = True
+    participants = np.flatnonzero(incident)
+    local = np.cumsum(incident) - 1
+    child, parent = local[tails], local[heads]
+    game, order = td.game_from_arrays(
+        len(participants),
+        accepting[participants],
+        load[participants],
+        child,
+        parent,
     )
-    par_ptr, chi_ptr = game.par_ptr, game.chi_ptr
-    game_degree = 0
-    for i in range(num_participants):
-        degree = par_ptr[i + 1] - par_ptr[i] + chi_ptr[i + 1] - chi_ptr[i]
-        if degree > game_degree:
-            game_degree = degree
+    degree = np.diff(game.par_ptr) + np.diff(game.chi_ptr)
+    game_degree = int(degree.max(initial=0))
     # The reference budget: three LOCAL rounds per game round of the
     # Theorem 4.1 bound computed from this instance's height/degree.
     max_rounds = 3 * (8 * (height + 1) * (game_degree + 1) ** 2 + 8)
-    _, final_token, _, _, consumed, engine = proposal_game_kernel(
-        game,
-        max_rounds,
-        tie_break=tie_break,
-        rngs=_node_rngs(tie_break, seed, tuple(ids[g] for g in participants))
-        if tie_break == "random"
-        else None,
-        count_messages=False,
+    rngs = None
+    if tie_break == "random":
+        rngs = td._node_rngs(
+            tie_break, seed, tuple(ids[g] for g in participants.tolist())
+        )
+    _, final_token, _, _, consumed, engine = td.proposal_game_kernel(
+        game, max_rounds, tie_break=tie_break, rngs=rngs, count_messages=False
     )
-
-    for g in participants:
-        sub[g] = -1
 
     if check_invariants:
         # Maximality (output rule 3) is the part of the solution
         # validation that guards Lemma 5.4; rules 1 and 2 hold by
         # construction of the game kernel.
-        chi_ptr, chi_node, chi_edge = game.chi_ptr, game.chi_node, game.chi_edge
-        for i in range(num_participants):
-            if final_token[i] < 0:
-                continue
-            for s in range(chi_ptr[i], chi_ptr[i + 1]):
-                if not consumed[chi_edge[s]] and final_token[chi_node[s]] < 0:
-                    raise InvalidSolutionError(
-                        f"not maximal: token at {ids[participants[i]]!r} can "
-                        f"still move to {ids[participants[chi_node[s]]]!r}"
-                    )
+        child = child[order]
+        parent = game.par_node
+        stuck = np.flatnonzero(
+            ~consumed & (final_token[parent] >= 0) & (final_token[child] < 0)
+        )
+        if stuck.size:
+            first = stuck[np.lexsort((child[stuck], parent[stuck]))[0]]
+            raise InvalidSolutionError(
+                f"not maximal: token at {ids[participants[parent[first]]]!r} "
+                f"can still move to {ids[participants[child[first]]]!r}"
+            )
 
-    consumed_edges = [payloads[ge] for ge in range(game.num_edges) if consumed[ge]]
-    return consumed_edges, engine.rounds
+    return game_edges[order[consumed]], engine.rounds
 
 
 def stable_orientation_kernel(
@@ -289,29 +272,35 @@ def stable_orientation_kernel(
     check_invariants: bool = True,
     max_phases: Optional[int] = None,
 ) -> Tuple[List[int], List[int], int, int, int, List]:
-    """Run the phase-based stable orientation algorithm on int arrays.
+    """Run the phase-based stable orientation algorithm on NumPy arrays.
 
     The compact counterpart of
-    :func:`~repro.core.orientation.phases.run_stable_orientation`: every
-    phase's propose/accept exchange runs as ascending edge scans, the
-    per-phase token dropping game is built *directly* as a dense game
+    :func:`~repro.core.orientation.phases.run_stable_orientation`.  Each
+    phase is a few whole-array steps over zero-copy views of the CSR
+    buffers: the propose/accept exchange takes each target's first
+    proposal in ascending edge order, the per-phase token dropping game
+    is built *directly* as a dense game
     (:func:`repro.core.token_dropping._kernels.game_from_arrays` — no dict
     :class:`~repro.core.token_dropping.game.TokenDroppingInstance` or
-    ``to_network`` round-trip), and the game is solved by the compact
-    proposal-game kernel.  Because dense node ids are ``repr``-sorted and
-    edge indices follow the reference's canonical-key ``repr`` order, the
-    reference tie-breaks ("propose to the canonical endpoint on a load
-    tie", "accept the smallest-``repr`` edge", the game's ``min``/``max``/
-    ``random`` policies) are all replayed exactly: orientations, per-phase
-    statistics, and round counts match the dict path bit for bit.
+    ``to_network`` round-trip) and played by
+    :func:`~repro.core.token_dropping._kernels.proposal_game_kernel`, and
+    flips, accepts and the badness refresh are scatters.  Because dense
+    node ids are ``repr``-sorted and edge indices follow the reference's
+    canonical-key ``repr`` order, the reference tie-breaks ("propose to
+    the canonical endpoint on a load tie", "accept the smallest-``repr``
+    edge", the game's ``min``/``max``/``random`` policies) are all
+    replayed exactly: orientations, per-phase statistics, and round
+    counts match the dict path bit for bit.
 
     Returns
     -------
     (heads, loads, phases, game_rounds, communication_rounds, per_phase)
-        Dense head id per edge, load per dense node, and the run counters
-        with the per-phase :class:`~repro.core.orientation.phases.
-        PhaseStats` rows.
+        Dense head id per edge and load per dense node (lists), and the
+        run counters with the per-phase :class:`~repro.core.orientation.
+        phases.PhaseStats` rows.
     """
+    import numpy as np
+
     from repro.core.orientation.phases import (
         PHASE_OVERHEAD_ROUNDS,
         PhaseStats,
@@ -320,16 +309,17 @@ def stable_orientation_kernel(
 
     n = graph.num_nodes
     m = graph.num_edges
-    eu = list(graph.edge_u)
-    ev = list(graph.edge_v)
     ids = graph.node_ids
-    indptr = graph.indptr
-    slot_edge = graph.slot_edge
+    # Zero-copy views of the CSR buffers.
+    eu = np.frombuffer(graph.edge_u, dtype=np.int64)
+    ev = np.frombuffer(graph.edge_v, dtype=np.int64)
+    indptr = np.frombuffer(graph.indptr, dtype=np.int64)
+    slot_edge = np.frombuffer(graph.slot_edge, dtype=np.int64)
 
-    delta = graph.max_degree()
+    degree = np.diff(indptr)
     if max_phases is None:
         # Lemma 5.5: the explicit O(Δ) phase budget of the reference path.
-        max_phases = 4 * (delta + 1) + 4
+        max_phases = 4 * (int(degree.max(initial=0)) + 1) + 4
     if m and tie_break not in TIE_BREAK_POLICIES:
         # The reference raises when the first phase builds its factory; an
         # edgeless problem never runs a phase and never validates.
@@ -338,38 +328,22 @@ def stable_orientation_kernel(
             f"expected one of {TIE_BREAK_POLICIES}"
         )
 
-    heads = [-1] * m
-    load = [0] * n
+    heads = np.full(m, -1, dtype=np.int64)
+    load = np.zeros(n, dtype=np.int64)
+    # The tail of edge e with head h is ends[e] - h.
+    ends = eu + ev
+    # load[head] - load[tail] of every oriented edge (0 while unoriented),
+    # refreshed each phase only around the nodes whose load changed: an
+    # edge's badness can change only when one of its endpoint loads does.
+    badness = np.zeros(m, dtype=np.int64)
+    # The unoriented edge ids, ascending (the reference scan order).
+    pending = np.arange(m, dtype=np.int64)
+    accepting = np.zeros(n, dtype=bool)
     per_phase: List = []
     phases = 0
     game_rounds = 0
     communication_rounds = 0
     oriented_count = 0
-    # Scratch map from dense node id to per-phase game id (-1 = not in
-    # this phase's game); allocated once and reset after every phase.
-    sub = [-1] * n
-
-    # Frontier state, maintained incrementally so a phase never rescans
-    # all n nodes or all m edges (a node's badness contribution can only
-    # change when one of its endpoint loads does):
-    #
-    # * ``pending`` — the unoriented edge ids, ascending (the reference
-    #   scan order), shrunk by exactly the accepted edges each phase;
-    # * ``cand`` — the oriented edges of badness exactly 1 (the next
-    #   phase's game edges); ``over`` — badness > 1 with its value
-    #   (empty in any valid run, Lemma 5.4);
-    # * ``hist``/``cur_max`` — a load histogram (loads are bounded by Δ)
-    #   so the per-phase game height is O(1) instead of ``max(load)``;
-    # * ``touched``/``touched_nodes`` — the nodes whose load changed this
-    #   phase; only their incident edges get their badness re-examined.
-    pending = list(range(m))
-    cand: set = set()
-    over: Dict[int, int] = {}
-    hist = [0] * (delta + 2)
-    if n:
-        hist[0] = n
-    cur_max = 0
-    touched = bytearray(n)
 
     while oriented_count < m:
         phases += 1
@@ -382,129 +356,79 @@ def stable_orientation_kernel(
         with obs.span("orientation.phase", phase=phases) as psp:
             # Steps 1 + 2: every unoriented edge proposes to its lower-load
             # endpoint (canonical endpoint on ties) and every proposed-to
-            # node accepts its smallest-repr edge — ``pending`` is kept
-            # ascending, so the first proposal a node sees is the one the
-            # reference's full ascending edge scan would accept.
-            accepted_edge: Dict[int, int] = {}
+            # node accepts its smallest-repr edge — ``pending`` is
+            # ascending, so that is the target's first proposal.
+            pu, pv = eu[pending], ev[pending]
+            targets = np.where(load[pv] < load[pu], pv, pu)
+            first = np.full(n, m, dtype=np.int64)
+            np.minimum.at(first, targets, pending)
+            accepted_nodes = np.flatnonzero(first < m)
+            accepted_edges = first[accepted_nodes]
             proposals = len(pending)
-            for e in pending:
-                u = eu[e]
-                v = ev[e]
-                target = v if load[v] < load[u] else u
-                if target not in accepted_edge:
-                    accepted_edge[target] = e
+            accepted = len(accepted_nodes)
 
             # Step 3 input: the oriented edges of badness exactly 1 become
             # the phase's token dropping game edges (tail = child, head =
-            # parent, Lemma 5.2), with tokens on the accepting nodes.
-            # ``cand`` holds exactly those edges — maintained at the end of
-            # the previous phase from the nodes whose load changed, not by
-            # rescanning all m edges.  The game is restricted to nodes
-            # incident to a game edge: every other node (tokenless, or a
-            # token holder with no game neighbours) halts at round 0 with
-            # no LEAVE fan-out in the reference execution, so dropping it
-            # changes neither the surviving run nor its rounds.
-            game_edge_list = sorted(cand)
-            # Phase-start max load, from the histogram (O(1) instead of an
-            # O(n) ``max(load)`` pass; loads are bounded by Δ).
-            height = cur_max
-            consumed_edges, td_comm_rounds = _solve_phase_game_serial(
-                eu,
-                ev,
+            # parent, Lemma 5.2), with tokens on the accepting nodes.  The
+            # game is restricted to nodes incident to a game edge: every
+            # other node (tokenless, or a token holder with no game
+            # neighbours) halts at round 0 with no LEAVE fan-out in the
+            # reference execution, so dropping it changes neither the
+            # surviving run nor its rounds.
+            game_edges = np.flatnonzero(badness == 1)
+            game_heads = heads[game_edges]
+            height = int(load.max())
+            accepting[accepted_nodes] = True
+            flipped, td_comm_rounds = _solve_phase_game(
                 ids,
-                sub,
                 load,
-                heads,
-                game_edge_list,
-                accepted_edge,
+                ends[game_edges] - game_heads,
+                game_heads,
+                game_edges,
+                accepting,
                 height,
                 tie_break,
                 seed,
                 check_invariants,
             )
+            accepting[accepted_nodes] = False
 
-            # Step 4: flip every edge consumed by a pass (each game edge maps
-            # back to its oriented edge through the payload table; flipping is
-            # order-independent because every edge is consumed at most once).
-            edges_flipped = 0
-            touched_nodes: List[int] = []
-            for e in consumed_edges:
-                h = heads[e]
-                t = eu[e] if h == ev[e] else ev[e]
-                heads[e] = t
-                lh = load[h]
-                load[h] = lh - 1
-                hist[lh] -= 1
-                hist[lh - 1] += 1
-                lt = load[t]
-                load[t] = lt + 1
-                hist[lt] -= 1
-                hist[lt + 1] += 1
-                if lt >= cur_max:
-                    cur_max = lt + 1
-                if not touched[h]:
-                    touched[h] = 1
-                    touched_nodes.append(h)
-                if not touched[t]:
-                    touched[t] = 1
-                    touched_nodes.append(t)
-                edges_flipped += 1
+            # Step 4: flip every edge consumed by a pass (every edge is
+            # consumed at most once, so the flips commute).
+            old_heads = heads[flipped]
+            new_heads = ends[flipped] - old_heads
+            heads[flipped] = new_heads
+            load -= np.bincount(old_heads, minlength=n)
+            load += np.bincount(new_heads, minlength=n)
 
             # Step 5: orient the accepted (previously unoriented) edges.
-            for node, e in accepted_edge.items():
-                heads[e] = node
-                ln = load[node]
-                load[node] = ln + 1
-                hist[ln] -= 1
-                hist[ln + 1] += 1
-                if ln >= cur_max:
-                    cur_max = ln + 1
-                if not touched[node]:
-                    touched[node] = 1
-                    touched_nodes.append(node)
-            oriented_count += len(accepted_edge)
-            if len(accepted_edge) < len(pending):
-                pending = [e for e in pending if heads[e] < 0]
-            else:
-                pending = []
-            while cur_max and not hist[cur_max]:
-                cur_max -= 1
+            heads[accepted_edges] = accepted_nodes
+            load[accepted_nodes] += 1
+            oriented_count += accepted
+            pending = pending[heads[pending] < 0]
 
-            # End-of-phase badness maintenance: an edge's badness can only
-            # have changed if one of its endpoint loads did, so refreshing
-            # the edges incident to the touched nodes (which include every
-            # newly oriented edge's head) is exhaustive.  The reference's
-            # full-scan ``max_badness`` is therefore 1 iff ``cand`` is
-            # non-empty (badness > 1 lands in ``over``, which any valid
-            # run keeps empty).
+            # End-of-phase badness refresh over the incident slots of the
+            # touched nodes (every node whose load changed; they include
+            # every newly oriented edge's head), which is exhaustive.
+            changed = np.zeros(n, dtype=bool)
+            changed[old_heads] = True
+            changed[new_heads] = True
+            changed[accepted_nodes] = True
+            touched = np.flatnonzero(changed)
+            counts = degree[touched]
+            refreshed_slots = int(counts.sum())
             if obs.enabled():
-                obs.add("orientation.frontier.game_edges", len(game_edge_list))
-                obs.add("orientation.frontier.touched_nodes", len(touched_nodes))
-                obs.add(
-                    "orientation.frontier.refreshed_slots",
-                    sum(indptr[x + 1] - indptr[x] for x in touched_nodes),
-                )
-            for x in touched_nodes:
-                touched[x] = 0
-                for s in range(indptr[x], indptr[x + 1]):
-                    e = slot_edge[s]
-                    h = heads[e]
-                    if h < 0:
-                        continue
-                    t = eu[e] if h == ev[e] else ev[e]
-                    badness = load[h] - load[t]
-                    if badness == 1:
-                        cand.add(e)
-                        if over:
-                            over.pop(e, None)
-                    else:
-                        cand.discard(e)
-                        if badness > 1:
-                            over[e] = badness
-                        elif over:
-                            over.pop(e, None)
+                obs.add("orientation.frontier.game_edges", len(game_edges))
+                obs.add("orientation.frontier.touched_nodes", len(touched))
+                obs.add("orientation.frontier.refreshed_slots", refreshed_slots)
+            starts = indptr[touched] - (np.cumsum(counts) - counts)
+            slots = np.arange(refreshed_slots) + np.repeat(starts, counts)
+            refreshed = slot_edge[slots]
+            refreshed = refreshed[heads[refreshed] >= 0]
+            head = heads[refreshed]
+            badness[refreshed] = load[head] - load[ends[refreshed] - head]
 
-            max_badness = max(over.values()) if over else (1 if cand else 0)
+            max_badness = max(int(badness.max()), 0)
             if check_invariants and max_badness > 1:
                 raise AlgorithmError(
                     f"phase {phases} ended with max badness {max_badness} > 1; "
@@ -517,12 +441,12 @@ def stable_orientation_kernel(
             phase_stats = PhaseStats(
                 phase=phases,
                 proposals=proposals,
-                accepted=len(accepted_edge),
-                tokens=len(accepted_edge),
+                accepted=accepted,
+                tokens=accepted,
                 token_dropping_game_rounds=td_game_rounds,
                 token_dropping_communication_rounds=td_comm_rounds,
                 token_dropping_height=height,
-                edges_flipped=edges_flipped,
+                edges_flipped=len(flipped),
                 edges_oriented_total=oriented_count,
                 max_badness_after=max_badness,
             )
@@ -542,21 +466,28 @@ def stable_orientation_kernel(
             )
 
     if check_invariants:
-        violations = []
-        for e in range(m):
-            h = heads[e]
-            t = eu[e] if h == ev[e] else ev[e]
-            if load[h] - load[t] > 1:
+        tails = ends - heads
+        unhappy = np.flatnonzero(load[heads] - load[tails] > 1).tolist()
+        if unhappy:
+            violations = []
+            for e in unhappy:
+                h, t = ids[heads[e]], ids[tails[e]]
                 violations.append(
-                    f"edge {ids[t]!r} -> {ids[h]!r} is unhappy: load({ids[h]!r})="
-                    f"{load[h]} > load({ids[t]!r})+1={load[t] + 1}"
+                    f"edge {t!r} -> {h!r} is unhappy: load({h!r})="
+                    f"{load[heads[e]]} > load({t!r})+1={load[tails[e]] + 1}"
                 )
-        if violations:
             raise AlgorithmError(
                 "final orientation is not stable: " + "; ".join(violations)
             )
 
-    return heads, load, phases, game_rounds, communication_rounds, per_phase
+    return (
+        heads.tolist(),
+        load.tolist(),
+        phases,
+        game_rounds,
+        communication_rounds,
+        per_phase,
+    )
 
 
 # ----------------------------------------------------------------------

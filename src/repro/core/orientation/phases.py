@@ -33,7 +33,7 @@ game rounds + overhead) and raw LOCAL communication rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 from repro.core.orientation.problem import (
@@ -72,20 +72,53 @@ class PhaseStats:
     max_badness_after: int
 
 
-@dataclass
 class StableOrientationResult:
-    """Outcome of the phase-based stable orientation algorithm."""
+    """Outcome of the phase-based stable orientation algorithm.
 
-    orientation: Orientation
-    phases: int
-    game_rounds: int
-    communication_rounds: int
-    per_phase: List[PhaseStats] = field(default_factory=list)
+    The compact path hands over its dense arrays: ``dense`` is ``(heads,
+    loads)`` over the solved :class:`~repro.graphs.compact.CompactGraph`
+    (``None`` on the dict path), and the dict :class:`Orientation` is
+    built from them on first access to :attr:`orientation`.
+    """
+
+    def __init__(
+        self,
+        orientation: Optional[Orientation],
+        phases: int,
+        game_rounds: int,
+        communication_rounds: int,
+        per_phase: Optional[List[PhaseStats]] = None,
+        *,
+        graph: Optional[CompactGraph] = None,
+        dense: Optional[Tuple[List[int], List[int]]] = None,
+    ) -> None:
+        self._orientation = orientation
+        self._graph = graph
+        self.dense = dense
+        self.phases = phases
+        self.game_rounds = game_rounds
+        self.communication_rounds = communication_rounds
+        self.per_phase = [] if per_phase is None else per_phase
+
+    @property
+    def orientation(self) -> Orientation:
+        """The final orientation (built from ``dense`` on first access)."""
+        if self._orientation is None:
+            heads, loads = self.dense
+            self._orientation = orientation_from_dense(self._graph, heads, loads)
+        return self._orientation
 
     @property
     def stable(self) -> bool:
         """Whether the final orientation is stable (it always should be)."""
         return self.orientation.is_stable()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"StableOrientationResult(phases={self.phases}, "
+            f"game_rounds={self.game_rounds}, "
+            f"communication_rounds={self.communication_rounds})"
+        )
 
 
 def theoretical_phase_bound(problem: OrientationProblem, constant: int = 4) -> int:
@@ -273,7 +306,7 @@ def _run_stable_orientation_compact(
     check_invariants: bool,
     max_phases: Optional[int],
 ) -> StableOrientationResult:
-    """Fast path: intern once, run the phase kernel, wrap the result."""
+    """Fast path: intern once, run the phase kernel, keep its arrays."""
     from repro.core.orientation._kernels import (
         stable_orientation_kernel as kernel,
     )
@@ -286,12 +319,12 @@ def _run_stable_orientation_compact(
         check_invariants=check_invariants,
         max_phases=max_phases,
     )
-
-    orientation = orientation_from_dense(compact, heads, loads)
     return StableOrientationResult(
-        orientation=orientation,
-        phases=phases,
-        game_rounds=game_rounds,
-        communication_rounds=communication_rounds,
-        per_phase=per_phase,
+        None,
+        phases,
+        game_rounds,
+        communication_rounds,
+        per_phase,
+        graph=compact,
+        dense=(heads, loads),
     )

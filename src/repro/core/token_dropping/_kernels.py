@@ -1,4 +1,4 @@
-"""Int-array fast-path kernels for the token dropping game.
+"""Array fast-path kernels for the token dropping game.
 
 These are the compact counterparts of the three token dropping solvers:
 
@@ -10,17 +10,26 @@ These are the compact counterparts of the three token dropping solvers:
   (Theorem 4.7, :mod:`repro.core.token_dropping.three_level`).
 
 Each kernel re-represents its input once — dense node ids in
-``repr``-sorted order, parent/child adjacency as flat CSR lists sharing
-one edge-id space — and then simulates the *same execution* the reference
-path performs, touching only integer arrays in the hot loop: token
-positions, per-edge consumed flags, incremental parent/child counts, and
-per-phase request/grant buffers instead of per-message dict envelopes.
+``repr``-sorted order, parent/child adjacency as flat CSR arrays sharing
+one edge-id space (:class:`_DenseGame`) — and then simulates the *same
+execution* the reference path performs on integer arrays instead of
+per-message dict envelopes.
 
-Two builders produce that dense game: :func:`game_from_arrays` (list
-based; also behind ``_DenseGame.from_instance`` and
-``_DenseGame.from_compact_network``) and :func:`game_from_edge_stream`
-(``array('q')`` buffers for streamed 10^6-node games).  Both number game
-edges in ascending ``(child, parent)`` order, so their arrays are equal.
+One builder makes that dense game: :func:`game_from_arrays`, a few
+whole-array NumPy steps that number game edges in ascending ``(child,
+parent)`` order.  ``_DenseGame.from_instance``,
+``_DenseGame.from_compact_network``, the orientation phase driver and
+:func:`game_from_edge_stream` (streamed 10^6-node games) all call it.
+
+The proposal algorithm runs on NumPy: :func:`proposal_game_kernel`
+plays every round as masked gathers and scatters over the still-live
+game edges, and serves both :func:`proposal_kernel` (per-node histories,
+message counts, halt rounds) and the compact orientation phase driver
+(quiet mode).  Only its ``random`` tie-break calls back into Python, for
+the per-node :class:`random.Random` draws.  :func:`three_level_kernel`
+and :func:`greedy_kernel` keep plain Python loops over
+:meth:`_DenseGame.as_lists` copies.  NumPy is imported on first use, so
+importing this module does not load it.
 
 Exactness contract
 ------------------
@@ -55,7 +64,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.token_dropping.game import (
     LOCAL_HAS_TOKEN,
@@ -68,15 +77,23 @@ from repro.graphs.compact import intern_nodes
 from repro.local_model.compact import CompactEngine, CompactNetwork
 from repro.local_model.metrics import ExecutionMetrics
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 class _DenseGame:
-    """Directed layered adjacency in flat parallel lists.
+    """Directed layered adjacency in flat parallel arrays.
 
     Parent and child CSR structures share one edge-id space: directed
     edge ``e`` appears once in some node's parent list and once in the
-    parent's child list, so a single ``consumed`` byte per edge serves
-    both endpoints.  Lists are ascending per node (dense ids are interned
-    in ``repr`` order), which is exactly the reference tie-break order.
+    parent's child list, so a single ``consumed`` flag per edge serves
+    both endpoints.  Game edges are numbered in ascending ``(child,
+    parent)`` order, so ``par_edge`` is the identity and every adjacency
+    list is ascending per node (dense ids are interned in ``repr`` order),
+    which is exactly the reference tie-break order.
+
+    ``has_token`` is a ``bytearray``; the other arrays are NumPy arrays,
+    or lists in an :meth:`as_lists` copy.
     """
 
     __slots__ = (
@@ -92,17 +109,29 @@ class _DenseGame:
         "chi_edge",
     )
 
-    def __init__(self, num_nodes: int) -> None:
+    def __init__(
+        self,
+        num_nodes: int,
+        num_edges: int,
+        has_token: bytearray,
+        level,
+        par_ptr,
+        par_node,
+        par_edge,
+        chi_ptr,
+        chi_node,
+        chi_edge,
+    ) -> None:
         self.num_nodes = num_nodes
-        self.num_edges = 0
-        self.has_token = bytearray(num_nodes)
-        self.level = [0] * num_nodes
-        self.par_ptr = [0] * (num_nodes + 1)
-        self.par_node: List[int] = []
-        self.par_edge: List[int] = []
-        self.chi_ptr = [0] * (num_nodes + 1)
-        self.chi_node: List[int] = []
-        self.chi_edge: List[int] = []
+        self.num_edges = num_edges
+        self.has_token = has_token
+        self.level = level
+        self.par_ptr = par_ptr
+        self.par_node = par_node
+        self.par_edge = par_edge
+        self.chi_ptr = chi_ptr
+        self.chi_node = chi_node
+        self.chi_edge = chi_edge
 
     @classmethod
     def of(cls, net: CompactNetwork) -> "_DenseGame":
@@ -123,15 +152,17 @@ class _DenseGame:
         """Read the token-dropping local inputs of every node (one pass)."""
         index_of = net.index_of
         inputs = [local or {} for local in net.local_inputs]
+        edges = [
+            (i, index_of[x])
+            for i, local in enumerate(inputs)
+            for x in local.get(LOCAL_PARENTS, ())
+        ]
         game, _ = game_from_arrays(
             net.num_nodes,
-            [local.get(LOCAL_HAS_TOKEN) for local in inputs],
+            [bool(local.get(LOCAL_HAS_TOKEN)) for local in inputs],
             [int(local.get(LOCAL_LEVEL) or 0) for local in inputs],
-            [
-                (i, index_of[x], 0)
-                for i, local in enumerate(inputs)
-                for x in local.get(LOCAL_PARENTS, ())
-            ],
+            [c for c, _ in edges],
+            [p for _, p in edges],
         )
         return game
 
@@ -142,30 +173,54 @@ class _DenseGame:
         """Intern a :class:`TokenDroppingInstance` directly (one pass)."""
         graph = instance.graph
         node_ids, index_of = intern_nodes(graph.levels)
+        edges = [
+            (i, index_of[x])
+            for i, node in enumerate(node_ids)
+            for x in graph.parents(node)
+        ]
         game, _ = game_from_arrays(
             len(node_ids),
             [node in instance.tokens for node in node_ids],
             [graph.levels[node] for node in node_ids],
-            [
-                (i, index_of[x], 0)
-                for i, node in enumerate(node_ids)
-                for x in graph.parents(node)
-            ],
+            [c for c, _ in edges],
+            [p for _, p in edges],
         )
         return game, node_ids, index_of
+
+    def as_lists(self) -> "_DenseGame":
+        """This game with list arrays, for the kernels that loop in Python."""
+
+        def to_list(values):
+            return values if isinstance(values, list) else values.tolist()
+
+        return _DenseGame(
+            self.num_nodes,
+            self.num_edges,
+            self.has_token,
+            to_list(self.level),
+            to_list(self.par_ptr),
+            to_list(self.par_node),
+            to_list(self.par_edge),
+            to_list(self.chi_ptr),
+            to_list(self.chi_node),
+            to_list(self.chi_edge),
+        )
 
 
 def game_from_arrays(
     num_nodes: int,
     has_token,
     levels,
-    edges,
-) -> Tuple[_DenseGame, List[int]]:
-    """Build a dense game directly from int arrays (no dict instance).
+    child,
+    parent,
+) -> Tuple[_DenseGame, np.ndarray]:
+    """Build a dense game from per-node inputs and parallel edge arrays.
 
     The instance-from-arrays entry point used by the compact orientation
     phase driver: callers that already hold dense node ids never pay for a
-    dict :class:`TokenDroppingInstance`/``to_network`` round-trip.
+    dict :class:`TokenDroppingInstance`/``to_network`` round-trip.  The
+    CSR is built with whole-array NumPy steps: two ``argsort`` calls on
+    combined integer keys and two ``bincount`` calls.
 
     Parameters
     ----------
@@ -173,161 +228,76 @@ def game_from_arrays(
         Number of dense nodes; all arrays are indexed ``0 .. num_nodes-1``.
     has_token / levels:
         Per-node token flag and level (the caller's loads).
-    edges:
-        List of ``(child, parent, payload)`` triples (``payload`` is an
-        arbitrary caller-side edge index).  Order is irrelevant: the CSR
-        lists are counting-sorted into the ascending per-node order the
-        reference tie-breaks require (dense interning is ``repr``-sorted,
-        so ascending dense order is reference order).
+    child / parent:
+        Parallel int sequences, one entry per distinct directed game edge.
+        Order is irrelevant: game edges are numbered in ascending
+        ``(child, parent)`` order, the per-node order the reference
+        tie-breaks require (dense interning is ``repr``-sorted, so
+        ascending dense order is reference order).
 
     Returns
     -------
     (game, payloads)
-        The dense game plus ``payloads[game_edge]`` echoing the caller's
-        payload of each directed game edge.
+        The dense game plus ``payloads[game_edge]``, the input position of
+        each game edge.
     """
-    game = _DenseGame(num_nodes)
-    for i in range(num_nodes):
-        if has_token[i]:
-            game.has_token[i] = 1
-        level = levels[i]
-        if level:
-            game.level[i] = level
+    import numpy as np
 
-    num_edges = len(edges)
-    game.num_edges = num_edges
-    # Game edge ids follow the (child, parent)-sorted order, which makes
-    # the parent CSR a straight copy and keeps both adjacency lists
-    # ascending per node.
-    edges = sorted(edges)
-    par_ptr = game.par_ptr
-    chi_ptr = game.chi_ptr
-    for c, p, _ in edges:
-        par_ptr[c + 1] += 1
-        chi_ptr[p + 1] += 1
-    for i in range(num_nodes):
-        par_ptr[i + 1] += par_ptr[i]
-        chi_ptr[i + 1] += chi_ptr[i]
-
-    game.par_node = [0] * num_edges
-    game.par_edge = list(range(num_edges))
-    game.chi_node = [0] * num_edges
-    game.chi_edge = [0] * num_edges
-    payloads = [0] * num_edges
-    par_node = game.par_node
-    chi_node, chi_edge = game.chi_node, game.chi_edge
-    cursor = chi_ptr[:num_nodes]
-    for ge, (c, p, payload) in enumerate(edges):
-        par_node[ge] = p
-        payloads[ge] = payload
-        slot = cursor[p]
-        chi_node[slot] = c
-        chi_edge[slot] = ge
-        cursor[p] = slot + 1
-    return game, payloads
+    child = np.asarray(child, dtype=np.int64)
+    parent = np.asarray(parent, dtype=np.int64)
+    # Distinct edges make the combined keys distinct, so the (faster)
+    # unstable sort is deterministic.
+    order = np.argsort(child * num_nodes + parent)
+    par_child = child[order]
+    par_node = parent[order]
+    par_ptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(par_child, minlength=num_nodes), out=par_ptr[1:])
+    chi_ptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(par_node, minlength=num_nodes), out=chi_ptr[1:])
+    chi_edge = np.argsort(par_node * num_nodes + par_child)
+    game = _DenseGame(
+        num_nodes,
+        len(order),
+        bytearray(np.asarray(has_token, dtype=bool).tobytes()),
+        np.asarray(levels, dtype=np.int64),
+        par_ptr,
+        par_node,
+        np.arange(len(order), dtype=np.int64),
+        chi_ptr,
+        par_child[chi_edge],
+        chi_edge,
+    )
+    return game, order
 
 
-# Kept beside game_from_arrays: slower on a solve's phase games, but its
-# array('q') buffers are what fit 10^6-node streamed games in memory.
 def game_from_edge_stream(
-    num_nodes: int,
-    edges: Iterable[Tuple[int, int]],
-    *,
-    has_token=None,
-    levels=None,
-) -> Tuple[_DenseGame, array]:
-    """Build a dense game from a streamed ``(child, parent)`` iterable.
+    num_nodes: int, edges: Iterable[Tuple[int, int]]
+) -> Tuple[_DenseGame, np.ndarray]:
+    """Build a tokenless level-0 game from a streamed ``(child, parent)`` iterable.
 
-    The million-node counterpart of :func:`game_from_arrays`: the stream
-    is consumed once into two flat ``array('q')`` buffers and
-    counting-sorted into the same ascending ``(child, parent)`` game-edge
-    order — the resulting CSR structures are element-for-element equal to
-    what :func:`game_from_arrays` produces on the materialised edge list
-    (the cross-validation tests assert this), but no per-edge tuples or
-    Python-list sort keys ever exist.  All adjacency arrays come out as
-    ``array('q')`` (8 bytes per entry) rather than int-object lists,
-    which is what makes the 10^6–10^7 tiers fit in memory.
-
-    ``has_token`` / ``levels`` are optional dense-indexed per-node
-    inputs; callers that must draw tokens *after* consuming a shared-RNG
-    edge stream (see ``random_token_dropping(compact=True)``) leave them
-    ``None`` and fill ``game.has_token`` / ``game.level`` in place.
+    The million-node entry point: the stream is consumed once into two
+    flat ``array('q')`` buffers (8 bytes per entry, no per-edge tuples),
+    which :func:`game_from_arrays` then reads without copying.  Callers
+    that must draw tokens *after* consuming a shared-RNG edge stream (see
+    ``random_token_dropping(compact=True)``) fill ``game.has_token`` and
+    ``game.level`` in place.
 
     Returns ``(game, payloads)`` where ``payloads[game_edge]`` is the
-    stream position of that edge, mirroring :func:`game_from_arrays`'s
-    payload echo.  Duplicate edges are not detected (the generating
-    streams are duplicate-free by construction).
+    stream position of that edge.  Duplicate edges are not detected (the
+    generating streams are duplicate-free by construction).
     """
-    game = _DenseGame(num_nodes)
-    if has_token is not None:
-        for i in range(num_nodes):
-            if has_token[i]:
-                game.has_token[i] = 1
-    if levels is not None:
-        for i in range(num_nodes):
-            level = levels[i]
-            if level:
-                game.level[i] = level
-
     child_of = array("q")
     parent_of = array("q")
     for c, p in edges:
         child_of.append(c)
         parent_of.append(p)
-    m = len(child_of)
-    game.num_edges = m
-
-    # LSD radix sort of the stream positions: a stable counting pass by
-    # parent, then by child, yields ascending (child, parent) — the game
-    # edge-id order game_from_arrays gets from sorting triples.
-    zeros = bytes(8 * (num_nodes + 1))
-    cnt_p = array("q", zeros)
-    for p in parent_of:
-        cnt_p[p + 1] += 1
-    for i in range(num_nodes):
-        cnt_p[i + 1] += cnt_p[i]
-    by_parent = array("q", bytes(8 * m))
-    cursor = array("q", cnt_p[:num_nodes])
-    for e in range(m):
-        p = parent_of[e]
-        by_parent[cursor[p]] = e
-        cursor[p] += 1
-
-    cnt_c = array("q", zeros)
-    for c in child_of:
-        cnt_c[c + 1] += 1
-    for i in range(num_nodes):
-        cnt_c[i + 1] += cnt_c[i]
-    order = array("q", bytes(8 * m))
-    cursor = array("q", cnt_c[:num_nodes])
-    for e in by_parent:
-        c = child_of[e]
-        order[cursor[c]] = e
-        cursor[c] += 1
-    del by_parent
-
-    # cnt_c / cnt_p are exactly the parent/child CSR offsets.
-    game.par_ptr = cnt_c
-    game.chi_ptr = cnt_p
-    par_node = array("q", bytes(8 * m))
-    chi_node = array("q", bytes(8 * m))
-    chi_edge = array("q", bytes(8 * m))
-    payloads = array("q", bytes(8 * m))
-    cursor = array("q", cnt_p[:num_nodes])
-    for ge in range(m):
-        e = order[ge]
-        p = parent_of[e]
-        par_node[ge] = p
-        payloads[ge] = e
-        slot = cursor[p]
-        chi_node[slot] = child_of[e]
-        chi_edge[slot] = ge
-        cursor[p] = slot + 1
-    game.par_node = par_node
-    game.par_edge = array("q", range(m))
-    game.chi_node = chi_node
-    game.chi_edge = chi_edge
-    return game, payloads
+    return game_from_arrays(
+        num_nodes,
+        bytearray(num_nodes),
+        array("q", bytes(8 * num_nodes)),
+        child_of,
+        parent_of,
+    )
 
 
 def _node_rngs(
@@ -349,7 +319,7 @@ def _pick(candidates: List, tie_break: str, rng: Optional[random.Random]):
 
 
 def _leave_messages(i, game, alive, dying_now, consumed, n_par, n_chi) -> int:
-    """LEAVE fan-out of one dying node (shared by both round kernels).
+    """LEAVE fan-out of one dying node in the three-level kernel.
 
     Counts deliveries to surviving neighbours (receivers halting in the
     same round drop the message, per the scheduler rule) and removes the
@@ -392,6 +362,33 @@ def _halt_outputs(ids, initially, has_token, token, received, passed) -> List[di
 # ----------------------------------------------------------------------
 # The distributed proposal algorithm (Theorem 4.1)
 # ----------------------------------------------------------------------
+def _group_choice(keys: np.ndarray, tie_break: str, rngs) -> np.ndarray:
+    """Index of the chosen entry in each run of equal, sorted ``keys``.
+
+    The whole-array form of :func:`_pick`: each run is one node's
+    candidate list in reference order, and ``min``/``max`` take its first
+    or last entry.  ``random`` draws ``rngs[key].randrange(len(run))``
+    once per run, in Python, exactly as the reference node does.
+    """
+    import numpy as np
+
+    size = len(keys)
+    first = np.empty(size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    if tie_break == "min":
+        return starts
+    ends = np.append(starts[1:], size)
+    if tie_break == "max":
+        return ends - 1
+    draws = [
+        rngs[key].randrange(length)
+        for key, length in zip(keys[starts].tolist(), (ends - starts).tolist())
+    ]
+    return starts + np.asarray(draws, dtype=np.int64)
+
+
 def proposal_game_kernel(
     game: _DenseGame,
     max_rounds: int,
@@ -399,155 +396,140 @@ def proposal_game_kernel(
     tie_break: str = "min",
     rngs: Optional[List[random.Random]] = None,
     count_messages: bool = True,
-) -> Tuple[bytearray, List[int], List, List, bytearray, CompactEngine]:
+) -> Tuple[
+    np.ndarray, np.ndarray, Optional[List], Optional[List], np.ndarray, CompactEngine
+]:
     """Run the proposal algorithm's execution loop on a dense game.
 
     The shared core behind :func:`proposal_kernel` (which wraps a
     :class:`CompactNetwork`) and the compact orientation phase driver
     (which builds per-phase games via :func:`game_from_arrays`).  Returns
     the dense end state ``(has_token, token, received, passed, consumed,
-    engine)``: ``consumed[game_edge]`` marks exactly the edges used by
-    passes, and ``engine`` carries the reference-equal round/message/halt
-    bookkeeping.
+    engine)`` as NumPy arrays plus histories: ``consumed[game_edge]``
+    marks exactly the edges used by passes, ``received[i]`` /
+    ``passed[i]`` list node ``i``'s ``(token, neighbour)`` events in round
+    order, and ``engine`` carries the reference-equal
+    round/message/halt bookkeeping.
 
-    ``count_messages=False`` skips the LEAVE/announce delivery accounting
-    (``engine.messages`` is then meaningless) while keeping the
-    termination-driving counter decrements — rounds, halts, passes, and
-    consumed edges are unchanged.  Callers that only need the game
-    outcome and round count (the orientation phase driver) use it to
-    avoid the per-death delivery checks.
+    Each round is a handful of whole-array steps over the *live* edges
+    only — unconsumed, with both endpoints still running — kept in
+    ascending edge id, i.e. grouped by child with parents ascending:
+
+    * request: every tokenless child picks a valid parent (one holding a
+      token) from its run of live edges;
+    * grant: the requests, sorted by (parent, child), form each parent's
+      ascending requester list, and each requested parent grants one;
+    * announce: a node halts once it holds a token and has no live child
+      edge, or holds none and has no live parent edge; its edges leave
+      the live set and its neighbours' counters drop by one.
+
+    A round costs O(live edges + running nodes), so a tall game does not
+    pay for its already-settled layers.
+
+    ``count_messages=False`` is the phase driver's quiet mode: it skips
+    the LEAVE/announce delivery accounting (``engine.messages`` is then
+    meaningless) and the histories (``received`` and ``passed`` are
+    ``None``).  Rounds, halts, passes, and consumed edges are unchanged.
     """
+    import numpy as np
+
     n = game.num_nodes
     engine = CompactEngine(n, max_rounds)
-    alive = engine.alive
-    par_ptr, par_node, par_edge = game.par_ptr, game.par_node, game.par_edge
-    chi_ptr, chi_node, chi_edge = game.chi_ptr, game.chi_node, game.chi_edge
+    par_ptr = np.asarray(game.par_ptr, dtype=np.int64)
+    chi_ptr = np.asarray(game.chi_ptr, dtype=np.int64)
+    # Live parent / child edges per node: the reference's termination
+    # counters, decremented as edges are consumed or endpoints halt.
+    n_par = np.diff(par_ptr)
+    n_chi = np.diff(chi_ptr)
+    live = np.arange(game.num_edges, dtype=np.int64)
+    live_c = np.repeat(np.arange(n, dtype=np.int64), n_par)
+    live_p = np.array(game.par_node, dtype=np.int64)
 
-    has_token = bytearray(game.has_token)
-    token = [i if has_token[i] else -1 for i in range(n)]
-    n_par = [par_ptr[i + 1] - par_ptr[i] for i in range(n)]
-    n_chi = [chi_ptr[i + 1] - chi_ptr[i] for i in range(n)]
-    consumed = bytearray(game.num_edges)
-    received: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    passed: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-
-    active = list(range(n))
-    dying_now = bytearray(n)
-    # In-flight grants (child, parent, token), applied at the next
-    # announce round exactly when the reference node processes its inbox.
-    pending_grants: List[Tuple[int, int, int]] = []
+    has_token = np.frombuffer(game.has_token, dtype=np.uint8) != 0
+    token = np.where(has_token, np.arange(n, dtype=np.int64), -1)
+    consumed = np.zeros(game.num_edges, dtype=bool)
+    halt_round = np.full(n, -1, dtype=np.int64)
+    dying_now = np.zeros(n, dtype=bool)
+    active = np.arange(n, dtype=np.int64)
+    grants: List[Tuple] = []
 
     def announce(round_number: int) -> None:
-        nonlocal active
-        for c, p, tok in pending_grants:
-            has_token[c] = 1
-            token[c] = tok
-            received[c].append((tok, p))
-            n_par[c] -= 1
-        pending_grants.clear()
+        nonlocal active, live, live_c, live_p
         # Termination checks run against pre-LEAVE state: a death in this
         # round only becomes visible to neighbours at the next round.
-        dying = []
-        for i in active:
-            if (n_chi[i] == 0) if has_token[i] else (n_par[i] == 0):
-                dying.append(i)
-                dying_now[i] = 1
+        holds = has_token[active]
+        die = np.where(holds, n_chi[active] == 0, n_par[active] == 0)
+        dying = active[die]
+        if dying.size:
+            dying_now[dying] = True
+            child_dies, parent_dies = dying_now[live_c], dying_now[live_p]
+            gone = child_dies | parent_dies
+            if count_messages:
+                # One LEAVE per live edge with exactly one dying endpoint
+                # (a receiver halting in the same round drops it).
+                engine.messages += int(np.count_nonzero(child_dies ^ parent_dies))
+            np.subtract.at(n_chi, live_p[gone], 1)
+            np.subtract.at(n_par, live_c[gone], 1)
+            keep = ~gone
+            live, live_c, live_p = live[keep], live_c[keep], live_p[keep]
+            dying_now[dying] = False
+            halt_round[dying] = round_number
+            active = active[~die]
         if count_messages:
-            messages = 0
-            for i in dying:
-                messages += _leave_messages(
-                    i, game, alive, dying_now, consumed, n_par, n_chi
-                )
-            # A surviving token-holder's announcement is delivered over
-            # every unconsumed edge to a child that has not left — which,
-            # once this round's LEAVE decrements are in, is exactly
-            # n_chi[i]: consumed edges and departed children are already
-            # subtracted, and same-round deaths drop the message per the
-            # scheduler rule.
-            for i in active:
-                if has_token[i] and not dying_now[i]:
-                    messages += n_chi[i]
-            engine.messages += messages
-        else:
-            # Quiet LEAVE: only the termination-driving decrements.  Dead
-            # receivers' counters are never read again, so the survivor
-            # checks of the counting path are unnecessary here.
-            for i in dying:
-                for s in range(par_ptr[i], par_ptr[i + 1]):
-                    if not consumed[par_edge[s]]:
-                        n_chi[par_node[s]] -= 1
-                for s in range(chi_ptr[i], chi_ptr[i + 1]):
-                    if not consumed[chi_edge[s]]:
-                        n_par[chi_node[s]] -= 1
-        for i in dying:
-            engine.halt(i, round_number)
-            dying_now[i] = 0
-        if dying:
-            active = [i for i in active if alive[i]]
+            # A surviving holder announces over each live child edge.
+            engine.messages += int(np.count_nonzero(has_token[live_p]))
 
-    def request_round() -> Dict[int, List[Tuple[int, int]]]:
-        requests: Dict[int, List[Tuple[int, int]]] = {}
-        messages = 0
-        if tie_break == "min":
-            # Smallest repr == smallest dense id == first valid slot, so
-            # the default policy needs no candidate list at all.
-            for c in active:
-                if has_token[c]:
-                    continue
-                for s in range(par_ptr[c], par_ptr[c + 1]):
-                    e = par_edge[s]
-                    if consumed[e]:
-                        continue
-                    p = par_node[s]
-                    if alive[p] and has_token[p]:
-                        messages += 1
-                        requests.setdefault(p, []).append((c, e))
-                        break
-        else:
-            for c in active:
-                if has_token[c]:
-                    continue
-                candidates = []
-                for s in range(par_ptr[c], par_ptr[c + 1]):
-                    e = par_edge[s]
-                    if consumed[e]:
-                        continue
-                    p = par_node[s]
-                    if alive[p] and has_token[p]:
-                        candidates.append((p, e))
-                if not candidates:
-                    continue
-                p, e = _pick(candidates, tie_break, rngs[c] if rngs else None)
-                messages += 1
-                requests.setdefault(p, []).append((c, e))
-        engine.messages += messages
-        return requests
-
-    def grant_round(requests: Dict[int, List[Tuple[int, int]]]) -> None:
-        messages = 0
-        for p, requesters in requests.items():
-            # p announced this game round, so it is alive and still holds
-            # its token; the requesters are current children (ascending,
-            # because request_round scans nodes in dense order).
-            c, e = _pick(requesters, tie_break, rngs[p] if rngs else None)
-            messages += 1
-            tok = token[p]
-            passed[p].append((tok, c))
-            consumed[e] = 1
-            n_chi[p] -= 1
-            has_token[p] = 0
-            token[p] = -1
-            pending_grants.append((c, p, tok))
-        engine.messages += messages
+    def play_round() -> None:
+        nonlocal live, live_c, live_p
+        valid = np.flatnonzero(has_token[live_p] & ~has_token[live_c])
+        if not valid.size:
+            return
+        requests = valid[_group_choice(live_c[valid], tie_break, rngs)]
+        # Each child requests once, so sorting by (parent, child) lists
+        # every parent's requesters in ascending (reference) order.
+        req_parent = live_p[requests]
+        by_parent = np.argsort(req_parent * n + live_c[requests])
+        chosen = requests[
+            by_parent[_group_choice(req_parent[by_parent], tie_break, rngs)]
+        ]
+        if count_messages:
+            engine.messages += len(requests) + len(chosen)
+        child, parent = live_c[chosen], live_p[chosen]
+        passed_token = token[parent]
+        has_token[parent] = False
+        token[parent] = -1
+        has_token[child] = True
+        token[child] = passed_token
+        n_chi[parent] -= 1
+        n_par[child] -= 1
+        consumed[live[chosen]] = True
+        if count_messages:
+            grants.append((child, parent, passed_token))
+        keep = np.ones(len(live), dtype=bool)
+        keep[chosen] = False
+        live, live_c, live_p = live[keep], live_c[keep], live_p[keep]
 
     announce(0)
-    while engine.n_alive:
+    while active.size:
+        engine.n_alive = active.size
         engine.step()
-        requests = request_round()
         engine.step()
-        grant_round(requests)
+        play_round()
         announce(engine.step())
 
+    engine.n_alive = 0
+    engine.alive = bytearray(n)
+    engine.halt_rounds = halt_round.tolist()
+    received = passed = None
+    if count_messages:
+        received = [[] for _ in range(n)]
+        passed = [[] for _ in range(n)]
+        for child, parent, passed_token in grants:
+            for c, p, t in zip(
+                child.tolist(), parent.tolist(), passed_token.tolist()
+            ):
+                received[c].append((t, p))
+                passed[p].append((t, c))
     return has_token, token, received, passed, consumed, engine
 
 
@@ -572,7 +554,9 @@ def proposal_kernel(
         tie_break=tie_break,
         rngs=_node_rngs(tie_break, seed, ids),
     )
-    outputs = _halt_outputs(ids, initially, has_token, token, received, passed)
+    outputs = _halt_outputs(
+        ids, initially, has_token.tolist(), token.tolist(), received, passed
+    )
     return outputs, engine.metrics(ids)
 
 
@@ -587,7 +571,7 @@ def three_level_kernel(
     seed: int = 0,
 ) -> Tuple[List[dict], ExecutionMetrics]:
     """Simulate the height-3 algorithm's execution on flat int arrays."""
-    game = _DenseGame.of(net)
+    game = _DenseGame.of(net).as_lists()
     n = game.num_nodes
     engine = CompactEngine(n, max_rounds)
     alive = engine.alive
@@ -773,6 +757,7 @@ def greedy_kernel(
     O(tokens log tokens) string sort.
     """
     game, node_ids, index_of = _DenseGame.from_instance(instance)
+    game = game.as_lists()
     level = game.level
     par_ptr, par_node, par_edge = game.par_ptr, game.par_node, game.par_edge
     chi_ptr, chi_node, chi_edge = game.chi_ptr, game.chi_node, game.chi_edge

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from typing import Any, Dict
 
-import networkx as nx
-
 from repro.core.assignment import (
     approximation_ratio,
     best_response_dynamics,
@@ -252,6 +250,8 @@ def orientation_vs_baselines(
 # ----------------------------------------------------------------------
 def lower_bound_pair(*, seed: int, delta: int) -> Dict[str, Any]:
     """E5: verify the lemmas' premises and witnesses on the instance pair."""
+    import networkx as nx
+
     regular, tree, root = theorem63_instance_pair(delta, seed=seed)
     if not is_regular(regular, delta):
         raise AssertionError(f"theorem63 regular instance is not {delta}-regular")

@@ -16,7 +16,8 @@ This module re-represents an instance **once**, up front:
   order" coincide and fast-path kernels can reproduce reference results
   exactly;
 * adjacency is stored in flat CSR arrays (:mod:`array` of signed 64-bit
-  ints, exposed as :class:`memoryview`\\ s — no numpy dependency);
+  ints, exposed as :class:`memoryview`\\ s); the NumPy phase kernel
+  reads them through zero-copy ``np.frombuffer`` views;
 * the translation is lossless: :meth:`CompactGraph.to_orientation_problem`
   and :meth:`CompactBipartite.to_customer_server_graph` rebuild structures
   that compare equal to the originals.

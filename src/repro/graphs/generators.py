@@ -21,13 +21,23 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.graphs.bipartite import CustomerServerGraph
 from repro.graphs.compact import CompactBipartite
 from repro.graphs.layered import LayeredGraph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 NodeId = Hashable
 
@@ -44,6 +54,8 @@ def _make_rng(seed: Optional[int | random.Random]) -> random.Random:
 # ----------------------------------------------------------------------
 def path_graph(n: int) -> nx.Graph:
     """A path on ``n`` nodes labelled ``0 .. n-1`` (Δ = 2)."""
+    import networkx as nx
+
     if n < 1:
         raise ValueError(f"path needs at least one node, got n={n}")
     return nx.path_graph(n)
@@ -51,6 +63,8 @@ def path_graph(n: int) -> nx.Graph:
 
 def cycle_graph(n: int) -> nx.Graph:
     """A cycle on ``n >= 3`` nodes (2-regular)."""
+    import networkx as nx
+
     if n < 3:
         raise ValueError(f"cycle needs at least three nodes, got n={n}")
     return nx.cycle_graph(n)
@@ -58,6 +72,8 @@ def cycle_graph(n: int) -> nx.Graph:
 
 def star_graph(leaves: int) -> nx.Graph:
     """A star with one centre (node 0) and ``leaves`` leaves (Δ = leaves)."""
+    import networkx as nx
+
     if leaves < 1:
         raise ValueError(f"star needs at least one leaf, got {leaves}")
     return nx.star_graph(leaves)
@@ -65,6 +81,8 @@ def star_graph(leaves: int) -> nx.Graph:
 
 def grid_graph(rows: int, cols: int) -> nx.Graph:
     """A ``rows x cols`` grid with integer-tuple node labels (Δ ≤ 4)."""
+    import networkx as nx
+
     if rows < 1 or cols < 1:
         raise ValueError(f"grid dimensions must be positive, got {rows}x{cols}")
     return nx.grid_2d_graph(rows, cols)
@@ -76,6 +94,8 @@ def caterpillar_graph(spine: int, legs_per_node: int) -> nx.Graph:
     Caterpillars produce skewed load-balancing instances: spine nodes are
     natural high-load servers while leaves force local decisions.
     """
+    import networkx as nx
+
     if spine < 1:
         raise ValueError(f"spine must have at least one node, got {spine}")
     if legs_per_node < 0:
@@ -135,6 +155,8 @@ def bounded_degree_gnp(
     ``max_degree`` are discarded.  The result is a "typical" bounded-degree
     graph used as a realistic (non-worst-case) orientation workload.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(range(n))
     graph.add_edges_from(bounded_degree_gnp_edges(n, p, max_degree, seed=seed))
@@ -150,6 +172,8 @@ def random_regular_graph(
     validation matching this package's conventions (``degree * n`` must be
     even and ``degree < n``).
     """
+    import networkx as nx
+
     if degree < 0:
         raise ValueError(f"degree must be non-negative, got {degree}")
     if n <= degree:
@@ -183,6 +207,8 @@ def high_girth_regular_graph(
         swap attempts (likely because ``n`` is too small for the requested
         degree/girth combination -- Moore-bound territory).
     """
+    import networkx as nx
+
     if girth < 3:
         raise ValueError(f"girth must be at least 3, got {girth}")
     rng = random.Random(seed)
@@ -285,6 +311,8 @@ def perfect_dary_tree(degree: int, depth: int) -> Tuple[nx.Graph, NodeId]:
     ``degree`` children and every internal non-root node has ``degree - 1``
     children.  Returns ``(graph, root)``.
     """
+    import networkx as nx
+
     if degree < 2:
         raise ValueError(f"degree must be at least 2, got {degree}")
     if depth < 0:

@@ -12,9 +12,10 @@ These checks back two kinds of uses:
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Optional, Set, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 NodeId = Hashable
 
@@ -29,6 +30,8 @@ def check_simple_graph(graph: nx.Graph) -> None:
     ``networkx.Graph`` cannot represent parallel edges, so only self-loops
     need an explicit check; directedness is rejected by type.
     """
+    import networkx as nx
+
     if graph.is_directed():
         raise GraphValidationError("expected an undirected graph")
     loops = list(nx.selfloop_edges(graph))
@@ -60,6 +63,8 @@ def is_regular(graph: nx.Graph, degree: Optional[int] = None) -> bool:
 
 def check_bipartite(graph: nx.Graph) -> Tuple[Set[NodeId], Set[NodeId]]:
     """Return a bipartition of the graph or raise if none exists."""
+    import networkx as nx
+
     if not nx.is_bipartite(graph):
         raise GraphValidationError("graph is not bipartite")
     left, right = (
@@ -111,6 +116,8 @@ def check_girth_at_least(graph: nx.Graph, girth: int) -> None:
 
 def check_is_tree(graph: nx.Graph) -> None:
     """Assert that the graph is a tree (connected and acyclic)."""
+    import networkx as nx
+
     if graph.number_of_nodes() == 0:
         raise GraphValidationError("empty graph is not a tree")
     if not nx.is_tree(graph):
@@ -147,6 +154,8 @@ def check_perfect_dary_tree(graph: nx.Graph, degree: int, root: NodeId) -> int:
     Returns the common leaf depth.  Raises :class:`GraphValidationError`
     on any violation.
     """
+    import networkx as nx
+
     check_is_tree(graph)
     depths = nx.single_source_shortest_path_length(graph, root)
     leaf_depths = {

@@ -19,9 +19,7 @@ what we *can* do, and what experiments E2/E5 report, is
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.core.orientation.problem import Orientation
 from repro.core.token_dropping.game import TokenDroppingInstance
@@ -30,6 +28,9 @@ from repro.graphs.bipartite import CustomerServerGraph
 from repro.graphs.generators import high_girth_regular_graph, perfect_dary_tree
 from repro.graphs.layered import LayeredGraph
 from repro.graphs.validation import tree_heights
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 NodeId = Hashable
 

@@ -14,9 +14,10 @@ for the radii the proof relies on.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 NodeId = Hashable
 
@@ -30,6 +31,8 @@ def radius_t_view(graph: nx.Graph, node: NodeId, t: int) -> nx.Graph:
     algorithm can gather (identifiers aside; the lower-bound argument
     quantifies over worst-case identifier assignments).
     """
+    import networkx as nx
+
     if t < 0:
         raise ValueError(f"radius must be non-negative, got {t}")
     distances = nx.single_source_shortest_path_length(graph, node, cutoff=t)
@@ -48,6 +51,8 @@ def views_isomorphic(
     from the root (which rooted isomorphisms do automatically; matching on
     the precomputed ``dist`` attribute simply prunes the search).
     """
+    import networkx as nx
+
     view_a = radius_t_view(graph_a, node_a, t)
     view_b = radius_t_view(graph_b, node_b, t)
     if view_a.number_of_nodes() != view_b.number_of_nodes():

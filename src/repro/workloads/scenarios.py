@@ -31,9 +31,7 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
-from typing import Hashable, Optional, Tuple, Union
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable, Optional, Tuple, Union
 
 from repro.core.orientation.problem import OrientationProblem
 from repro.graphs.compact import CompactBipartite, CompactGraph, intern_nodes
@@ -54,6 +52,9 @@ from repro.graphs.generators import (
     random_layered_graph,
     random_regular_graph,
 )
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 NodeId = Hashable
 
@@ -167,6 +168,8 @@ def long_path_orientation(
     *, length: int = 200, compact: bool = False
 ) -> OrientationInstance:
     """A path: the workload on which sequential flip chains are longest."""
+    import networkx as nx
+
     return _orientation_instance(nx.path_graph(length), compact)
 
 
@@ -277,7 +280,7 @@ def build_orientation_instance(family: str, **params) -> CompactGraph:
 class CompactTokenGame:
     """A token dropping game already in dense-kernel form.
 
-    What the ``compact=True`` token builders emit: the
+    What the ``compact=True`` token builders emit: the NumPy-backed
     :class:`~repro.core.token_dropping._kernels._DenseGame` the proposal
     kernel consumes directly, plus the dense-id → original-id mapping the
     tie-break RNGs and halt outputs need.  The game arrays are
@@ -298,18 +301,12 @@ class CompactTokenGame:
         return self.game.num_edges
 
     def height(self) -> int:
-        return max(self.game.level) if self.game.num_nodes else 0
+        return int(self.game.level.max(initial=0))
 
     def max_degree(self) -> int:
-        game = self.game
-        par_ptr, chi_ptr = game.par_ptr, game.chi_ptr
-        return max(
-            (
-                par_ptr[i + 1] - par_ptr[i] + chi_ptr[i + 1] - chi_ptr[i]
-                for i in range(game.num_nodes)
-            ),
-            default=0,
-        )
+        par_ptr, chi_ptr = self.game.par_ptr, self.game.chi_ptr
+        degree = par_ptr[1:] - par_ptr[:-1] + chi_ptr[1:] - chi_ptr[:-1]
+        return int(degree.max(initial=0))
 
     def theoretical_round_bound(self, constant: int = 8) -> int:
         """The Theorem 4.1 budget, mirroring the dict instance's formula."""
@@ -536,6 +533,8 @@ def two_cliques_bottleneck(
     balancing might need to push many load units across.  Returns the
     problem and the two bridge endpoints.
     """
+    import networkx as nx
+
     if clique_size < 2:
         raise ValueError(f"clique_size must be at least 2, got {clique_size}")
     left = nx.complete_graph(clique_size)
