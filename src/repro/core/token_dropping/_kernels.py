@@ -134,17 +134,23 @@ class _DenseGame:
         self.chi_edge = chi_edge
 
     @classmethod
-    def of(cls, net: CompactNetwork) -> "_DenseGame":
+    def of(cls, net: CompactNetwork, *, lists: bool = False) -> "_DenseGame":
         """The dense game of ``net``, memoized on the compact network.
 
-        The dense adjacency, initial token flags, and levels are all
-        derived from immutable inputs; kernels copy the mutable pieces
-        (token flags) before simulating, so the memo stays pristine.
+        ``lists=True`` gives (and memoizes) its :meth:`as_lists` copy, for
+        the kernels that loop in Python.  The dense adjacency, initial
+        token flags, and levels are all derived from immutable inputs;
+        kernels copy the mutable pieces (token flags) before simulating,
+        so the memo stays pristine.
         """
-        cached = net.derived.get("token_game")
+        key = "token_game_lists" if lists else "token_game"
+        cached = net.derived.get(key)
         if cached is None:
-            cached = cls.from_compact_network(net)
-            net.derived["token_game"] = cached
+            if lists:
+                cached = cls.of(net).as_lists()
+            else:
+                cached = cls.from_compact_network(net)
+            net.derived[key] = cached
         return cached
 
     @classmethod
@@ -571,7 +577,7 @@ def three_level_kernel(
     seed: int = 0,
 ) -> Tuple[List[dict], ExecutionMetrics]:
     """Simulate the height-3 algorithm's execution on flat int arrays."""
-    game = _DenseGame.of(net).as_lists()
+    game = _DenseGame.of(net, lists=True)
     n = game.num_nodes
     engine = CompactEngine(n, max_rounds)
     alive = engine.alive
